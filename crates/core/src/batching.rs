@@ -5,7 +5,7 @@
 //! Shipping one MBR per ζ summaries cuts the update bandwidth by roughly ζ
 //! at the cost of coarser (but never lossy) candidate filtering.
 
-use dsi_dsp::{FeatureVector, Mbr};
+use dsi_dsp::Mbr;
 use serde::{Deserialize, Serialize};
 
 /// Groups every ζ consecutive feature vectors of one stream into an MBR.
@@ -108,18 +108,12 @@ impl MbrBatcher {
         self.members
     }
 
-    /// Adds a summary; returns an MBR when ζ summaries accumulated, or
-    /// earlier when the width bound would be violated (the pending batch is
-    /// shipped and the new summary starts the next one).
-    // dsilint: allow(hot-path-alloc, legacy per-FeatureVector entry that allocates via to_reals; the ingest path feeds push_reals with scratch coordinates directly)
-    pub fn push(&mut self, fv: FeatureVector) -> Option<Mbr> {
-        self.push_reals(&fv.to_reals())
-    }
-
-    /// [`MbrBatcher::push`] over a summary's flattened real coordinates —
-    /// the allocation-free variant: a push that does not complete a batch
-    /// touches only the running bounds (no heap traffic once the corner
-    /// buffers hold their capacity).
+    /// Adds a summary, given as its flattened real coordinates; returns an
+    /// MBR when ζ summaries accumulated, or earlier when the width bound
+    /// would be violated (the pending batch is shipped and the new summary
+    /// starts the next one). Allocation-free: a push that does not complete
+    /// a batch touches only the running bounds (no heap traffic once the
+    /// corner buffers hold their capacity).
     ///
     /// # Panics
     /// Panics if `reals` has a different dimensionality than the pending
@@ -192,7 +186,7 @@ impl MbrBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_dsp::{Complex64, Normalization};
+    use dsi_dsp::{Complex64, FeatureVector, Normalization};
 
     fn fv(re: f64) -> FeatureVector {
         FeatureVector::new(vec![Complex64::new(re, re / 2.0)], Normalization::ZNorm)
@@ -201,9 +195,9 @@ mod tests {
     #[test]
     fn emits_every_zeta_pushes() {
         let mut b = MbrBatcher::new(3);
-        assert!(b.push(fv(0.1)).is_none());
-        assert!(b.push(fv(0.2)).is_none());
-        let mbr = b.push(fv(0.15)).expect("third push completes the batch");
+        assert!(b.push_reals(&fv(0.1).to_reals()).is_none());
+        assert!(b.push_reals(&fv(0.2).to_reals()).is_none());
+        let mbr = b.push_reals(&fv(0.15).to_reals()).expect("third push completes the batch");
         assert_eq!(mbr.low(), &[0.1, 0.05]);
         assert_eq!(mbr.high(), &[0.2, 0.1]);
         assert_eq!(b.pending(), 0);
@@ -216,7 +210,7 @@ mod tests {
         let members: Vec<FeatureVector> = (0..5).map(|i| fv(0.1 * i as f64)).collect();
         let mut out = None;
         for m in &members {
-            out = b.push(m.clone());
+            out = b.push_reals(&m.to_reals());
         }
         let mbr = out.unwrap();
         for m in &members {
@@ -227,7 +221,7 @@ mod tests {
     #[test]
     fn zeta_one_ships_points() {
         let mut b = MbrBatcher::new(1);
-        let mbr = b.push(fv(0.3)).unwrap();
+        let mbr = b.push_reals(&fv(0.3).to_reals()).unwrap();
         assert_eq!(mbr.volume(), 0.0);
         assert_eq!(b.produced(), 1);
     }
@@ -235,8 +229,8 @@ mod tests {
     #[test]
     fn flush_partial_batch() {
         let mut b = MbrBatcher::new(4);
-        b.push(fv(0.1));
-        b.push(fv(0.4));
+        b.push_reals(&fv(0.1).to_reals());
+        b.push_reals(&fv(0.4).to_reals());
         let mbr = b.flush().expect("two pending summaries");
         assert!(mbr.contains(&fv(0.1).to_reals()));
         assert!(mbr.contains(&fv(0.4).to_reals()));
@@ -249,7 +243,7 @@ mod tests {
         let mut b = MbrBatcher::new(10);
         let mut shipped = 0;
         for i in 0..95 {
-            if b.push(fv(i as f64 * 0.01)).is_some() {
+            if b.push_reals(&fv(i as f64 * 0.01).to_reals()).is_some() {
                 shipped += 1;
             }
         }
@@ -265,18 +259,18 @@ mod tests {
     #[test]
     fn width_bound_ships_early() {
         let mut b = MbrBatcher::new(10).with_max_width(0.05);
-        assert!(b.push(fv(0.10)).is_none());
-        assert!(b.push(fv(0.12)).is_none());
+        assert!(b.push_reals(&fv(0.10).to_reals()).is_none());
+        assert!(b.push_reals(&fv(0.12).to_reals()).is_none());
         // 0.30 would widen the routing interval to 0.20 > 0.05:
         // the pending pair ships, 0.30 starts a new batch.
-        let mbr = b.push(fv(0.30)).expect("early shipment");
+        let mbr = b.push_reals(&fv(0.30).to_reals()).expect("early shipment");
         assert_eq!(mbr.first_interval(), (0.10, 0.12));
         assert_eq!(b.pending(), 1);
         // The new batch still honors zeta.
         for i in 0..8 {
-            assert!(b.push(fv(0.30 + i as f64 * 0.001)).is_none());
+            assert!(b.push_reals(&fv(0.30 + i as f64 * 0.001).to_reals()).is_none());
         }
-        let full = b.push(fv(0.305)).expect("zeta reached");
+        let full = b.push_reals(&fv(0.305).to_reals()).expect("zeta reached");
         let (lo, hi) = full.first_interval();
         assert!(hi - lo <= 0.05 + 1e-12);
     }
@@ -291,7 +285,7 @@ mod tests {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let step = ((rng_state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 0.02;
             x = (x + step).clamp(-0.9, 0.9);
-            if let Some(mbr) = b.push(fv(x)) {
+            if let Some(mbr) = b.push_reals(&fv(x).to_reals()) {
                 let (lo, hi) = mbr.first_interval();
                 assert!(hi - lo <= 0.02 + 1e-12, "width {}", hi - lo);
             }
@@ -349,7 +343,7 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let x = ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 0.3;
                 let f = fv(x);
-                let (got, want) = (b.push(f.clone()), model.push(f));
+                let (got, want) = (b.push_reals(&f.to_reals()), model.push(f));
                 assert_eq!(got.is_some(), want.is_some());
                 if let (Some(g), Some(w)) = (got, want) {
                     for (a, c) in g.low().iter().zip(w.low().iter()) {

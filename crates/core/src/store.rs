@@ -95,6 +95,7 @@ impl SummaryRef<'_> {
 
     /// Replica-record identity against a transport record: one batch shipped
     /// by one origin (the SoA counterpart of `same_record`).
+    #[inline]
     pub fn matches(&self, r: &StoredMbr) -> bool {
         self.stream == r.stream
             && self.origin == r.origin

@@ -80,7 +80,7 @@ proptest! {
                 Normalization::UnitNorm,
             );
             pending.push(fv.clone());
-            if let Some(mbr) = b.push(fv) {
+            if let Some(mbr) = b.push_reals(&fv.to_reals()) {
                 // The emitted MBR covers exactly the summaries that are no
                 // longer pending (all but possibly the newest).
                 let kept = b.pending();

@@ -1,6 +1,6 @@
 //! Workspace call graph extracted from the scrubbed-token model.
 //!
-//! This is the nominal, tidy-style graph the v2 rules (A01, S01) walk: it
+//! This is the nominal, tidy-style graph rule A01 walks: it
 //! knows `fn` definitions, which `impl` block each lives in, and the call
 //! sites inside each body — all recovered textually from scrubbed code,
 //! with no type information. Resolution is therefore an

@@ -283,11 +283,16 @@ mod tests {
         let text = render_text(&out);
         assert!(text.contains("  D02 wall-clock-and-entropy: 2"), "{text}");
         assert!(text.contains("  A01 hot-path-alloc: 0"), "{text}");
-        // Fixed A01..X02 ordering, no map nondeterminism.
-        let a01 = text.find("A01 ").unwrap();
-        let d02 = text.find("D02 ").unwrap();
-        let x02 = text.find("X02 ").unwrap();
-        assert!(a01 < d02 && d02 < x02, "{text}");
+        // Fixed A01..X02 ordering, no map nondeterminism: the report walks
+        // RULE_IDS, which lists exactly ALL_RULES, sorted by rule id.
+        let slugs: Vec<&str> = rules::RULE_IDS.iter().map(|&(_, slug)| slug).collect();
+        assert_eq!(slugs, rules::ALL_RULES);
+        assert!(rules::RULE_IDS.windows(2).all(|w| w[0].0 < w[1].0), "rule ids must ascend");
+        let at: Vec<usize> = rules::RULE_IDS
+            .iter()
+            .map(|&(id, slug)| text.find(&format!("  {id} {slug}: ")).expect(id))
+            .collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "{text}");
         let json = render_json(&out);
         assert!(json.contains("\"D02 wall-clock-and-entropy\": 2"), "{json}");
         assert!(json.contains("\"X02 oracle-table-sync\": 0"), "{json}");

@@ -5,8 +5,8 @@
 //! digests, bit-identical parallel ingest, `audit(trace) == Metrics`)
 //! rests on source-level invariants that no unit test can see being
 //! eroded: unordered `HashMap` iteration feeding routed state, ambient
-//! wall-clock or entropy in simulation crates, a `Metrics` call without
-//! its paired `Tracer` call. This crate checks them statically on every
+//! wall-clock or entropy in simulation crates, a message billed or traced
+//! outside the send seam. This crate checks them statically on every
 //! commit, in the spirit of rust-lang/rust's `tidy`.
 //!
 //! Layers:
@@ -15,7 +15,7 @@
 //!   windows;
 //! * [`callgraph`] — nominal workspace call graph + reachability (the v2
 //!   multi-pass substrate);
-//! * [`rules`] — the eight rules (A01, D01, D02, D03, R01, S01, X01, X02);
+//! * [`rules`] — the seven rules (A01, D01, D02, R01, S01, X01, X02);
 //! * [`baseline`] — record/burn-down file for pre-existing violations;
 //! * [`engine`] — workspace walk, two-pass run, reports, `--fix-markers`.
 

@@ -1,12 +1,12 @@
-//! The eight determinism / invariant rules.
+//! The seven determinism / invariant rules.
 //!
 //! Every rule is a pure function from a [`SourceFile`] (plus the shared
 //! [`Context`]) to violations. Rules are deliberately *textual* — this is a
 //! tidy-style gate, not a type checker — so each one documents its
 //! heuristics and every rule honors `// dsilint: allow(<rule>, <reason>)`
 //! markers (applied later by the engine, so fixtures can test raw hits).
-//! The v2 rules (A01, S01) additionally consult the workspace call graph
-//! built in pass 1 (see [`crate::callgraph`]).
+//! A01 additionally consults the workspace call graph built in pass 1 (see
+//! [`crate::callgraph`]).
 
 use crate::callgraph::Graph;
 use crate::source::SourceFile;
@@ -15,21 +15,19 @@ use crate::source::SourceFile;
 pub const A01: &str = "hot-path-alloc";
 pub const D01: &str = "unordered-iter";
 pub const D02: &str = "wall-clock-and-entropy";
-pub const D03: &str = "metrics-trace-pairing";
 pub const R01: &str = "hot-path-unwrap";
-pub const S01: &str = "charge-once-at-send";
+pub const S01: &str = "single-send-site";
 pub const X01: &str = "class-table";
 pub const X02: &str = "oracle-table-sync";
 
 /// All rule slugs, in report order (sorted by rule id).
-pub const ALL_RULES: [&str; 8] = [A01, D01, D02, D03, R01, S01, X01, X02];
+pub const ALL_RULES: [&str; 7] = [A01, D01, D02, R01, S01, X01, X02];
 
 /// `(rule id, slug)` pairs in report order.
-pub const RULE_IDS: [(&str, &str); 8] = [
+pub const RULE_IDS: [(&str, &str); 7] = [
     ("A01", A01),
     ("D01", D01),
     ("D02", D02),
-    ("D03", D03),
     ("R01", R01),
     ("S01", S01),
     ("X01", X01),
@@ -87,6 +85,10 @@ pub struct Context {
     /// Functions reachable from the zero-alloc entry points, cold
     /// boundaries already excluded.
     pub hot_fns: Vec<HotFn>,
+    /// `(module directory, hash-container names its mod.rs declares)`: a
+    /// type split across a module's files keeps its fields visible to D01
+    /// in every one of them.
+    pub module_hash_names: Vec<(String, Vec<String>)>,
 }
 
 /// A01 reachability roots: the zero-alloc contract's entry points
@@ -116,6 +118,9 @@ impl Context {
                     ctx.oracle_variants = vars;
                     ctx.oracle_file = Some(f.path.clone());
                 }
+            }
+            if let Some(dir) = f.path.strip_suffix("mod.rs") {
+                ctx.module_hash_names.push((dir.to_string(), hash_container_names(f)));
             }
         }
         ctx.graph = Graph::build(files);
@@ -150,11 +155,10 @@ impl Context {
 pub fn run_all(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     out.extend(hot_path_alloc(ctx, f));
-    out.extend(unordered_iter(f));
+    out.extend(unordered_iter(ctx, f));
     out.extend(wall_clock_and_entropy(f));
-    out.extend(metrics_trace_pairing(f));
     out.extend(hot_path_unwrap(f));
-    out.extend(charge_once_at_send(ctx, f));
+    out.extend(single_send_site(f));
     out.extend(class_table(ctx, f));
     out.extend(oracle_table_sync(ctx, f));
     out
@@ -296,17 +300,23 @@ const ITER_METHODS: [&str; 8] = [
 /// crates, unless the surrounding statement window sorts the result (or
 /// collects into a `BTree*`).
 ///
-/// Receivers are recognized *nominally*: the file is scanned for names
-/// declared with a type mentioning `HashMap`/`HashSet` (struct fields,
-/// `let` bindings, parameters) or initialized from `HashMap::…` /
-/// `HashSet::…`, and iteration calls / `for … in` loops over those names
-/// are flagged. Closure-bound aliases of map contents are not tracked —
-/// the self-test and reviewers cover that gap (documented in DESIGN §11).
-pub fn unordered_iter(f: &SourceFile) -> Vec<Violation> {
+/// Receivers are recognized *nominally*: the file — and the `mod.rs` of
+/// the module it belongs to — is scanned for names declared with a type
+/// mentioning `HashMap`/`HashSet` (struct fields, `let` bindings,
+/// parameters) or initialized from `HashMap::…` / `HashSet::…`, and
+/// iteration calls / `for … in` loops over those names are flagged.
+/// Closure-bound aliases of map contents are not tracked — the self-test
+/// and reviewers cover that gap (documented in DESIGN §11).
+pub fn unordered_iter(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
     if !D01_CRATES.iter().any(|c| f.path.starts_with(c)) {
         return Vec::new();
     }
-    let names = hash_container_names(f);
+    let mut names = hash_container_names(f);
+    for (dir, declared) in &ctx.module_hash_names {
+        if f.path.starts_with(dir.as_str()) {
+            declared.iter().for_each(|n| push_unique(&mut names, n));
+        }
+    }
     if names.is_empty() {
         return Vec::new();
     }
@@ -475,57 +485,6 @@ pub fn wall_clock_and_entropy(f: &SourceFile) -> Vec<Violation> {
 }
 
 // ----------------------------------------------------------------------
-// D03 — metrics-trace-pairing
-// ----------------------------------------------------------------------
-
-/// Lines scanned after a metrics call for the paired trace call.
-const D03_WINDOW_AFTER: usize = 15;
-const D03_WINDOW_BEFORE: usize = 3;
-
-/// **D03** — every `metrics.record_hops` / `record_message` /
-/// `record_route` site in the `Cluster` middleware must have its paired
-/// tracer call within the surrounding statement window, mirroring the
-/// contract the trace-replay conformance oracle checks dynamically
-/// (`audit(trace) == Metrics`, bit for bit). Calls through the
-/// `self.record_route(…)` helper count as paired — the helper itself is a
-/// checked site.
-pub fn metrics_trace_pairing(f: &SourceFile) -> Vec<Violation> {
-    if !f.path.ends_with("core/src/cluster.rs") {
-        return Vec::new();
-    }
-    const SITES: [&str; 3] =
-        ["metrics.record_hops(", "metrics.record_message(", "metrics.record_route("];
-    const PAIRED: [&str; 3] = ["tracer", "trace_into", "self.record_route("];
-    let mut out = Vec::new();
-    for (idx, line) in f.code.iter().enumerate() {
-        if !SITES.iter().any(|s| line.contains(s)) {
-            continue;
-        }
-        if f.in_test_region(idx + 1) {
-            continue;
-        }
-        let lo = idx.saturating_sub(D03_WINDOW_BEFORE);
-        let hi = (idx + D03_WINDOW_AFTER).min(f.code.len() - 1);
-        let window = f.code[lo..=hi].join("\n");
-        if PAIRED.iter().any(|p| window.contains(p)) {
-            continue;
-        }
-        out.push(Violation {
-            rule: D03,
-            file: f.path.clone(),
-            line: idx + 1,
-            message: format!(
-                "Metrics call without a paired Tracer call within {D03_WINDOW_AFTER} lines — \
-                 the trace audit (`audit(trace) == Metrics`) will diverge; add the tracer call \
-                 or justify with `// dsilint: allow({D03}, <reason>)`"
-            ),
-            excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-        });
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
 // R01 — hot-path-unwrap
 // ----------------------------------------------------------------------
 
@@ -578,33 +537,34 @@ pub fn hot_path_unwrap(f: &SourceFile) -> Vec<Violation> {
 }
 
 // ----------------------------------------------------------------------
-// S01 — charge-once-at-send
+// S01 — single-send-site
 // ----------------------------------------------------------------------
 
-/// Call shapes that resolve a send through [`ReliabilityState`]: the
-/// judge itself, the reliable-multicast wrapper, the pre-resolved
-/// bookkeeping entry, and the lossless-path dispatch guards.
-const S01_ANCHORS: [&str; 5] = [
-    "resolve_send(",
-    "reliable_multicast(",
-    "record_resolution(",
-    "reliability.is_some(",
-    "reliability.is_none(",
+/// The one file of `crates/core` allowed to bill and trace overlay
+/// messages: the `Cluster` send seam.
+const SEND_SEAM: &str = "crates/core/src/cluster/send.rs";
+
+/// The calls that bill an overlay message to `Metrics` or record it in the
+/// causal trace.
+const S01_TOKENS: [&str; 7] = [
+    ".record_message(",
+    ".record_hops(",
+    ".record_route(",
+    "tracer.single(",
+    "tracer.route(",
+    "trace_into(",
+    "trace_tree_into(",
 ];
 
-/// **S01** — every overlay send site in `crates/core` (a
-/// `metrics.record_message(` bookkeeping line) must resolve through
-/// `ReliabilityState` exactly once: the static mirror of the
-/// charge-once-at-send invariant (DESIGN §12). Two checks, both scoped by
-/// the call graph's function spans:
-///
-/// * a send site whose enclosing function shows none of the resolution
-///   shapes *before* the site is an unresolved send — a message the
-///   fault plan never saw;
-/// * two `resolve_send(` calls inside one statement charge the fault
-///   plan twice for a single wire message.
-pub fn charge_once_at_send(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
-    if !f.path.starts_with("crates/core/") {
+/// **S01** — inside `crates/core`, overlay messages are billed and traced
+/// only in the send seam (`cluster/send.rs`). The seam judges a message
+/// once, charges it once and emits its paired trace record, so the two
+/// contracts the dynamic oracles check — `audit(trace) == Metrics` and
+/// charge-once-at-send (DESIGN §12) — hold by construction for every
+/// sender that goes through it; this rule keeps senders from going around
+/// it. `#[cfg(test)]` modules are exempt.
+pub fn single_send_site(f: &SourceFile) -> Vec<Violation> {
+    if !f.path.starts_with("crates/core/") || f.path == SEND_SEAM {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -612,72 +572,23 @@ pub fn charge_once_at_send(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
         if f.in_test_region(idx + 1) {
             continue;
         }
-        // Double charge: two resolutions in a single statement. Checked at
-        // the statement's first resolving line only.
-        if line.contains("resolve_send(") {
-            let start = f.statement_start(idx);
-            let earlier = f.code[start..idx].iter().any(|l| l.contains("resolve_send("));
-            if !earlier && single_statement(f, idx).matches("resolve_send(").count() >= 2 {
-                out.push(Violation {
-                    rule: S01,
-                    file: f.path.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "statement resolves through ReliabilityState twice — one wire message \
-                         must be charged exactly once (DESIGN §12); split the sends or justify \
-                         with `// dsilint: allow({S01}, <reason>)`"
-                    ),
-                    excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-                });
-            }
+        for t in S01_TOKENS.iter().filter(|t| line.contains(**t)) {
+            out.push(Violation {
+                rule: S01,
+                file: f.path.clone(),
+                line: idx + 1,
+                message: format!(
+                    "`{}` outside the send seam — messages are judged, charged and traced \
+                     only in {SEND_SEAM} (DESIGN §12); send through \
+                     send_hop/send_routed/send_range or justify with \
+                     `// dsilint: allow({S01}, <reason>)`",
+                    t.trim_start_matches('.').trim_end_matches('(')
+                ),
+                excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
+            });
         }
-        if !line.contains("metrics.record_message(") {
-            continue;
-        }
-        // Unresolved send: no resolution shape between the enclosing
-        // function's signature and the site.
-        let encl = ctx
-            .graph
-            .fns
-            .iter()
-            .filter(|d| d.file == f.path && d.sig_line <= idx + 1 && idx < d.body_end)
-            .max_by_key(|d| d.sig_line);
-        let Some(encl) = encl else { continue };
-        let before = f.code[encl.sig_line - 1..=idx].join("\n");
-        if S01_ANCHORS.iter().any(|a| before.contains(a)) {
-            continue;
-        }
-        out.push(Violation {
-            rule: S01,
-            file: f.path.clone(),
-            line: idx + 1,
-            message: format!(
-                "send site in `{}` without a ReliabilityState resolution earlier in the \
-                 function — the fault plan never judged this message (DESIGN §12); route it \
-                 through resolve_send/reliable_multicast, record a pre-resolved delivery with \
-                 record_resolution, or justify with `// dsilint: allow({S01}, <reason>)`",
-                encl.label()
-            ),
-            excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-        });
     }
     out
-}
-
-/// The scrubbed text of just the statement containing 0-based `idx` (the
-/// statement window truncated at its first top-level `;`).
-fn single_statement(f: &SourceFile, idx: usize) -> String {
-    let w = f.statement_window(idx);
-    let mut depth = 0i32;
-    for (off, c) in w.char_indices() {
-        match c {
-            '(' | '[' | '{' => depth += 1,
-            ')' | ']' | '}' => depth -= 1,
-            ';' if depth <= 0 => return w[..off].to_string(),
-            _ => {}
-        }
-    }
-    w
 }
 
 // ----------------------------------------------------------------------

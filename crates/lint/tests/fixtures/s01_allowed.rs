@@ -1,20 +1,9 @@
-//! S01 allow-marker fixture: an unresolved send justified with a reason —
-//! a bootstrap-time probe that runs before the fault plan is armed.
-
-pub struct Metrics;
-
-impl Metrics {
-    pub fn record_message(&mut self, _class: u8, _hops: u32) {}
-}
-
-pub struct Cluster {
-    metrics: Metrics,
-}
+//! S01 allow-marker fixture: a billing site outside the seam justified
+//! with a reason.
 
 impl Cluster {
-    fn bootstrap_probe(&mut self) {
-        // dsilint: allow(charge-once-at-send, join-time probe runs before the fault plan is armed and is never on the faulted path)
-        self.metrics.record_message(3, 1);
-        self.tracer.single(3, 1);
+    fn replay_recorded(&mut self, path: &[u64]) {
+        // dsilint: allow(single-send-site, replays an already-judged path from a captured trace; nothing is sent)
+        self.metrics.record_route(MsgClass::Query, MsgClass::QueryTransit, path);
     }
 }

@@ -1,33 +1,13 @@
-//! S01 positive fixture: one send site with no ReliabilityState
-//! resolution anywhere before it in its function (the fault plan never
-//! judged the message), and one statement that resolves twice for a
-//! single wire message (double charge).
-
-pub struct Metrics;
-
-impl Metrics {
-    pub fn record_message(&mut self, _class: u8, _hops: u32) {}
-}
-
-pub struct Cluster {
-    metrics: Metrics,
-}
+//! S01 positive fixture: a sender that bills and traces its own message
+//! instead of going through the send seam (linted under a `crates/core`
+//! path other than `cluster/send.rs`) — one hit per offending line.
 
 impl Cluster {
-    fn unresolved_send(&mut self, hops: u32) {
-        self.metrics.record_message(0, hops);
-        self.tracer.single(0, hops);
-    }
-
-    fn double_charge(&mut self, a: u8, b: u8) {
-        let ok = self.resolve_send(a, 0, 1) && self.resolve_send(b, 1, 0);
-        if ok {
-            self.metrics.record_message(0, 1);
-            self.tracer.single(0, 1);
+    fn push_answer(&mut self, from: u64, to: u64) {
+        if self.measuring {
+            self.metrics.record_message(MsgClass::AggNotify, from, to);
+            self.tracer.single(MsgClass::AggNotify.index() as u8, from, to);
         }
-    }
-
-    fn resolve_send(&mut self, _class: u8, _from: u64, _to: u64) -> bool {
-        true
+        self.inbox.push(to);
     }
 }

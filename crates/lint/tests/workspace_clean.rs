@@ -81,14 +81,14 @@ fn oracle_context_is_discovered() {
 #[test]
 fn hot_set_reaches_beyond_the_entry_file() {
     // A01 is only meaningful if the call graph actually traverses out of
-    // cluster.rs: the inline aggregate replica update pulls the sketch
-    // and dsp crates into the hot set. A refactor that breaks edge
-    // extraction would empty this and silently disable the rule.
+    // the ingest entry points: the inline aggregate replica update pulls
+    // the sketch and dsp crates into the hot set. A refactor that breaks
+    // edge extraction would empty this and silently disable the rule.
     let outcome = engine::run(workspace_root(), &Baseline::default());
     let hot = &outcome.context.hot_fns;
     assert!(
-        hot.iter().any(|h| h.file == "crates/core/src/cluster.rs"),
-        "no hot functions in cluster.rs"
+        hot.iter().any(|h| h.file == "crates/core/src/cluster/ingest.rs"),
+        "no hot functions in cluster/ingest.rs"
     );
     assert!(
         hot.iter().any(|h| !h.file.starts_with("crates/core/")),
