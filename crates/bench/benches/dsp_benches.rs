@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsi_dsp::dft::dft;
 use dsi_dsp::fft::fft;
-use dsi_dsp::{extract_features, FeatureExtractor, Normalization, SlidingDft, SlidingWindow};
+use dsi_dsp::{
+    extract_features, FeatureExtractor, Normalization, SlidingDft, SlidingWindow, SummaryScratch,
+};
 use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<f64> {
@@ -65,11 +67,12 @@ fn bench_per_item_summarization(c: &mut Criterion) {
     // Full incremental pipeline (window + stats + normalization).
     group.bench_function("feature_extractor_update", |b| {
         let mut ex = FeatureExtractor::new(w, k, Normalization::UnitNorm);
+        let mut scratch = SummaryScratch::default();
         let mut i = 0;
         b.iter(|| {
-            let out = ex.update(xs[i % xs.len()]);
+            let warm = ex.update_scratch(xs[i % xs.len()], &mut scratch);
             i += 1;
-            black_box(out)
+            black_box((warm, &scratch.reals));
         })
     });
 

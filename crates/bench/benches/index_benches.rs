@@ -1,6 +1,6 @@
-//! Hot-path microbenchmarks for the interval-indexed matching layer and the
-//! batch ingest pipeline: indexed vs linear `local_candidates`, publish-side
-//! `matching_subscriptions`, and `ingest_batch` vs a `post_value` loop.
+//! Hot-path microbenchmarks for the index-pruned matching layer and the
+//! batch ingest pipeline: indexed vs linear `local_candidates`, and
+//! `ingest_batch` vs a `post_value` loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsi_core::{Cluster, ClusterConfig, DataCenter, SimilarityKind, SimilarityQuery, StoredMbr};
@@ -70,27 +70,6 @@ fn bench_local_candidates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_matching_subscriptions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matching_subscriptions");
-    let now = SimTime::from_ms(10);
-    for subs in [1_000usize, 5_000] {
-        let mut dc = DataCenter::new(7);
-        for i in 0..subs {
-            dc.subscribe_similarity(query(i as u64, point(i, 0.13), point(i, 0.57), 0.05));
-        }
-        group.bench_with_input(BenchmarkId::from_parameter(subs), &subs, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let (re, im, w) = (point(i, 0.31), point(i, 0.67), 0.02);
-                i += 1;
-                let mbr = Mbr::from_corners(vec![re - w, im - w], vec![re + w, im + w]);
-                black_box(dc.matching_subscriptions(&mbr, now).len())
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_ingest_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest");
     group.sample_size(20);
@@ -134,5 +113,5 @@ fn bench_ingest_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_local_candidates, bench_matching_subscriptions, bench_ingest_batch);
+criterion_group!(benches, bench_local_candidates, bench_ingest_batch);
 criterion_main!(benches);

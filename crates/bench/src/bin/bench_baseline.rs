@@ -1,9 +1,9 @@
 //! First measured performance baseline (`BENCH_ingest.json`).
 //!
-//! Measures the three hot paths this repo's perf work targets, in
+//! Measures the hot paths this repo's perf work targets, in
 //! machine-readable form so future PRs can track the trajectory:
 //!
-//! 1. `local_candidates` — interval-indexed vs brute-force linear scan at a
+//! 1. `local_candidates` — index-pruned vs brute-force linear scan at a
 //!    10k-MBR shard (per-op p50/p99 ns, ops/sec, candidates/sec, speedup);
 //! 2. batch ingest — `Cluster::ingest_batch` vs a sequential `post_value`
 //!    loop (items/sec, per-item ns);
@@ -145,39 +145,6 @@ fn bench_local_candidates(stored: usize, num_queries: usize) -> Value {
             ]),
         ),
         ("speedup", f64v(lin_s / idx_s)),
-    ])
-}
-
-fn bench_matching_subscriptions(subs: usize, probes: usize) -> Value {
-    let mut rng = XorShift(0x5eed_0002);
-    let mut dc = DataCenter::new(7);
-    for i in 0..subs {
-        dc.subscribe_similarity(query(i as u64, rng.unit(), rng.unit(), 0.05));
-    }
-    let now = SimTime::from_ms(10);
-    let boxes: Vec<Mbr> = (0..probes)
-        .map(|_| {
-            let (re, im, w) = (rng.unit(), rng.unit(), 0.02);
-            Mbr::from_corners(vec![re - w, im - w], vec![re + w, im + w])
-        })
-        .collect();
-    let mut lat = Vec::with_capacity(boxes.len());
-    let mut matched = 0usize;
-    let start = Instant::now();
-    for mbr in &boxes {
-        let t0 = Instant::now();
-        matched += black_box(dc.matching_subscriptions(mbr, now)).len();
-        lat.push(t0.elapsed().as_nanos() as u64);
-    }
-    let total_s = start.elapsed().as_secs_f64();
-    let (p50, p99) = percentiles(lat);
-    obj(vec![
-        ("subscriptions", u64v(subs as u64)),
-        ("probes", u64v(probes as u64)),
-        ("ops_per_sec", f64v(probes as f64 / total_s)),
-        ("matches_per_sec", f64v(matched as f64 / total_s)),
-        ("p50_ns", u64v(p50)),
-        ("p99_ns", u64v(p99)),
     ])
 }
 
@@ -351,7 +318,6 @@ fn bench_trace(num_nodes: usize, warmup_ms: u64, measure_ms: u64) -> Value {
 fn main() {
     let quick = quick_mode();
     let (stored, queries) = if quick { (2_000, 200) } else { (10_000, 2_000) };
-    let (subs, probes) = if quick { (500, 200) } else { (5_000, 2_000) };
     let (streams, ticks) = if quick { (128, 50) } else { (512, 400) };
     let (seeds, warm, meas) = if quick { (2, 6_000, 6_000) } else { (5, 12_000, 24_000) };
     let (tr_nodes, tr_warm, tr_meas) =
@@ -365,8 +331,6 @@ fn main() {
     let ingest = bench_ingest(streams, ticks as u64);
     eprintln!("[bench_baseline] local_candidates ({stored} MBRs, {queries} queries)...");
     let lc = bench_local_candidates(stored, queries);
-    eprintln!("[bench_baseline] matching_subscriptions ({subs} subs)...");
-    let ms = bench_matching_subscriptions(subs, probes);
     eprintln!("[bench_baseline] driver sweep ({seeds} seeds x 50 nodes)...");
     let sweep = bench_driver_sweep(seeds, warm, meas);
     eprintln!("[bench_baseline] traced run ({tr_nodes} nodes, {} sim-ms)...", tr_warm + tr_meas);
@@ -378,7 +342,6 @@ fn main() {
         ("workers", u64v(worker_count(usize::MAX) as u64)),
         ("host_cpus", u64v(std::thread::available_parallelism().map_or(1, |n| n.get()) as u64)),
         ("local_candidates", lc),
-        ("matching_subscriptions", ms),
         ("ingest", ingest),
         ("driver_sweep", sweep),
         ("trace", trace),

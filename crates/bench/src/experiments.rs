@@ -5,7 +5,7 @@
 use crate::parallel_reports;
 use dsi_chord::{IdSpace, Ring};
 use dsi_core::{ExperimentConfig, SystemReport};
-use dsi_dsp::{FeatureExtractor, Normalization};
+use dsi_dsp::{FeatureExtractor, Normalization, SummaryScratch};
 use dsi_simnet::Histogram;
 use dsi_streamgen::{HostLoad, WorkloadConfig};
 use rand::rngs::StdRng;
@@ -139,10 +139,11 @@ pub fn fig3b() -> (Fig3bData, String) {
     let mut rng = StdRng::seed_from_u64(1997);
     let mut load = HostLoad::standard();
     let mut extractor = FeatureExtractor::new(64, 2, Normalization::UnitNorm);
+    let mut scratch = SummaryScratch::default();
     let mut points = Vec::new();
     for _ in 0..2000 {
-        if let Some(fv) = extractor.update(load.next_value(&mut rng)) {
-            let r = fv.to_reals();
+        if extractor.update_scratch(load.next_value(&mut rng), &mut scratch) {
+            let r = &scratch.reals;
             points.push(Fig3bPoint { c1: r[0], c2_re: r[2], c2_im: r[3] });
         }
     }

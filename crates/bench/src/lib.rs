@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the paper's evaluation (§V) from
 //! the simulator, and hosts the Criterion micro-benchmarks and ablations.
 //!
-//! Each `expt_*` binary is a thin wrapper over [`experiments`]; results are
+//! The `expt` binary is a thin wrapper over [`experiments`]; results are
 //! printed as the paper's rows/series and written as JSON under `results/`.
 
 #![warn(missing_docs)]

@@ -9,8 +9,8 @@
 //! scheduling.
 
 use dsi_core::{run_experiment, ExperimentConfig, SystemReport};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// Worker count for a sweep: `DSI_WORKERS` if set, else host parallelism,
@@ -49,11 +49,12 @@ where
                     break;
                 }
                 let r = f(&items[i]);
-                slots.lock()[i] = Some(r);
+                slots.lock().expect("no worker panics while holding the slot lock")[i] = Some(r);
             });
         }
     });
-    slots.into_inner().into_iter().map(|r| r.expect("every slot filled")).collect()
+    let slots = slots.into_inner().expect("scope already propagated any worker panic");
+    slots.into_iter().map(|r| r.expect("every slot filled")).collect()
 }
 
 /// Runs one experiment per node count, in parallel, returning reports in

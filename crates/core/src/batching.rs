@@ -183,6 +183,22 @@ impl MbrBatcher {
     }
 }
 
+/// Fixed per-message overlay header: source, destination key, type tag,
+/// and a sequence number (the usual 8+8+4+4 layout).
+pub const HEADER_BYTES: usize = 24;
+
+/// Bandwidth of shipping ζ summaries *individually* versus as one MBR, per
+/// batch and per replica: the §IV-G saving in bytes. Figures 6-8 count
+/// *messages*; this states the same saving in the paper's deeper currency.
+/// A summary carries stream id + `k` complex coefficients + expiry; an MBR
+/// carries two such corner vectors.
+pub fn batching_saving(k: usize, zeta: usize) -> (usize, usize) {
+    const F64: usize = 8;
+    let summary = HEADER_BYTES + 4 + k * 2 * F64 + 8;
+    let mbr = HEADER_BYTES + 4 + (k * 2) * 2 * F64 + 8;
+    (summary * zeta, mbr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +264,19 @@ mod tests {
             }
         }
         assert_eq!(shipped, 9);
+    }
+
+    #[test]
+    fn batching_saves_bandwidth_beyond_zeta_two() {
+        for k in [1usize, 2, 4] {
+            for zeta in [3usize, 5, 10, 20] {
+                let (individual, batched) = batching_saving(k, zeta);
+                assert!(batched < individual, "zeta={zeta}, k={k}: {batched} not < {individual}");
+            }
+            // zeta = 1 is strictly worse (an MBR is bigger than a point).
+            let (individual, batched) = batching_saving(k, 1);
+            assert!(batched > individual);
+        }
     }
 
     #[test]

@@ -317,11 +317,6 @@ impl<R: ContentRouter> Cluster<R> {
         self.stream_false_positives.get(&stream).copied().unwrap_or(0)
     }
 
-    /// MBRs this stream has shipped so far.
-    pub fn stream_updates(&self, stream: StreamId) -> u64 {
-        self.streams[stream as usize].batcher.produced()
-    }
-
     /// MBRs this stream shipped early because of its width bound — the
     /// §VI-A update-pressure signal (regular ζ-full shipments are the
     /// baseline cost and carry no pressure).
@@ -362,12 +357,6 @@ impl<R: ContentRouter> Cluster<R> {
     /// default: the instrumented paths then cost a single branch.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.tracer.enable(capacity);
-    }
-
-    /// Stops tracing (captured records are kept until the next
-    /// [`Cluster::start_measurement`] or [`Cluster::enable_tracing`]).
-    pub fn disable_tracing(&mut self) {
-        self.tracer.disable();
     }
 
     /// The causal tracer (records, multicast metadata, drop counter).

@@ -48,134 +48,11 @@ fn prune_pad(r: f64) -> f64 {
     1e-9 + r.abs() * 1e-9
 }
 
-/// A 1-D interval index: sorted endpoint array plus an unsorted staged tail.
-///
-/// Eq. 6 maps summaries onto the ring through the *first* DFT coefficient
-/// only, so both stored MBRs and subscription ranges project onto 1-D
-/// intervals of that axis. Intersection queries against a sorted-by-low
-/// array need the classic max-width trick: `[l, h]` intersects `[a, b]` iff
-/// `l <= b` and `h >= a`, and since `l >= h - max_width` every intersecting
-/// interval has `l` in `[a - max_width, b]` — two binary searches bound the
-/// scan. Appends go to a small staged tail (scanned linearly, extents
-/// inline) and are merged into the sorted run once the tail outgrows
-/// `16 + sorted/16`, keeping amortized append cost O(log n).
-///
-/// The payload is an opaque `u64`: the position in `mbrs` for the MBR index,
-/// the `QueryId` for the subscription index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct IntervalIndex {
-    /// `(low, high, payload)` sorted by `(low, payload)`.
-    entries: Vec<(f64, f64, u64)>,
-    /// Recent appends, unsorted, scanned linearly until compacted.
-    staged: Vec<(f64, f64, u64)>,
-    /// Widest `high - low` over `entries` and `staged`.
-    max_width: f64,
-}
-
-impl IntervalIndex {
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.staged.clear();
-        self.max_width = 0.0;
-    }
-
-    /// Stages one interval; merges the tail into the sorted run when it
-    /// outgrows its bound.
-    fn push(&mut self, low: f64, high: f64, payload: u64) {
-        self.staged.push((low, high, payload));
-        self.max_width = self.max_width.max(high - low);
-        if self.staged.len() > 16 + self.entries.len() / 16 {
-            self.compact();
-        }
-    }
-
-    /// Merges the staged tail into the sorted run. The stable sort detects
-    /// the two pre-sorted runs, so this is effectively one O(n) merge.
-    fn compact(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        self.staged.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.2.cmp(&y.2)));
-        self.entries.append(&mut self.staged);
-        self.entries.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.2.cmp(&y.2)));
-    }
-
-    /// Calls `visit` with the payload of every interval intersecting
-    /// `[a, b]`, in deterministic (sorted-run, then staged-insertion) order.
-    fn for_overlapping(&self, a: f64, b: f64, mut visit: impl FnMut(u64)) {
-        let from = self.entries.partition_point(|e| e.0 < a - self.max_width);
-        for &(low, high, payload) in &self.entries[from..] {
-            if low > b {
-                break;
-            }
-            if high >= a {
-                visit(payload);
-            }
-        }
-        for &(low, high, payload) in &self.staged {
-            if low <= b && high >= a {
-                visit(payload);
-            }
-        }
-    }
-}
-
-/// Implicit-array binary min-heap over expiry timestamps (ms).
-///
-/// Entries are never removed eagerly: replaced subscriptions and rebalanced
-/// replicas leave stale timestamps behind, which only makes the heap's
-/// minimum a conservative lower bound on the earliest real expiry — a purge
-/// fired on a stale minimum simply removes nothing and pops it.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct ExpiryHeap {
-    times: Vec<u64>,
-}
-
-impl ExpiryHeap {
-    fn push(&mut self, t: u64) {
-        self.times.push(t);
-        let mut i = self.times.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.times[parent] <= self.times[i] {
-                break;
-            }
-            self.times.swap(parent, i);
-            i = parent;
-        }
-    }
-
-    /// Earliest (possibly stale) expiry, if any.
-    fn next_at(&self) -> Option<u64> {
-        self.times.first().copied()
-    }
-
-    /// Drops every timestamp `<= now` — they all refer to items a purge at
-    /// `now` has just removed (or to stale entries).
-    fn pop_through(&mut self, now: u64) {
-        while self.times.first().is_some_and(|&t| t <= now) {
-            let last = self.times.len() - 1;
-            self.times.swap(0, last);
-            self.times.pop();
-            // Sift the promoted leaf back down.
-            let mut i = 0;
-            loop {
-                let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut smallest = i;
-                if l < self.times.len() && self.times[l] < self.times[smallest] {
-                    smallest = l;
-                }
-                if r < self.times.len() && self.times[r] < self.times[smallest] {
-                    smallest = r;
-                }
-                if smallest == i {
-                    break;
-                }
-                self.times.swap(i, smallest);
-                i = smallest;
-            }
-        }
-    }
+/// Lowers an expiry bound (ms) so that it covers `expires`.
+#[inline]
+fn note_expiry(bound: &mut Option<u64>, expires: SimTime) {
+    let t = expires.as_ms();
+    *bound = Some(bound.map_or(t, |b| b.min(t)));
 }
 
 /// State of one data center.
@@ -196,10 +73,11 @@ pub struct DataCenter {
     peak_mbrs: usize,
     /// Sortable-key (z-order) index over `store` (payload = position).
     mbr_index: SortableSummaryIndex,
-    /// Dim-0 interval index over `subscriptions` (payload = query id).
-    sub_index: IntervalIndex,
-    /// Min-heap of pending expiries across all three soft-state tables.
-    expiry: ExpiryHeap,
+    /// Lower bound (ms) on the earliest expiry across the three soft-state
+    /// tables; `None` while they are empty. Replaced subscriptions and
+    /// rebalanced replicas may leave it stale-low, which costs one no-op
+    /// purge.
+    next_expiry: Option<u64>,
 }
 
 impl DataCenter {
@@ -216,7 +94,7 @@ impl DataCenter {
     /// the periodic purge (the paper expires by life span, not by version).
     pub fn store_mbr(&mut self, stored: StoredMbr) {
         let (low, high) = extent0(&stored.mbr);
-        self.expiry.push(stored.expires.as_ms());
+        note_expiry(&mut self.next_expiry, stored.expires);
         self.store.push_stored(&stored);
         self.mbr_index.insert(sortable_key(low, high), (self.store.len() - 1) as u32);
         self.peak_mbrs = self.peak_mbrs.max(self.store.len());
@@ -255,34 +133,6 @@ impl DataCenter {
             let (low, high) = store.get(pos).extent0();
             (sortable_key(low, high), pos as u32)
         }));
-    }
-
-    /// Rebuilds the subscription interval index (after removal/replacement).
-    fn rebuild_sub_index(&mut self) {
-        self.sub_index.clear();
-        let mut point = Vec::new();
-        // dsilint: allow(unordered-iter, compact() sorts the rebuilt index wholesale)
-        for (&qid, q) in &self.subscriptions {
-            let (low, high) = Self::sub_interval(q, &mut point);
-            self.sub_index.staged.push((low, high, qid));
-            self.sub_index.max_width = self.sub_index.max_width.max(high - low);
-        }
-        self.sub_index.compact();
-    }
-
-    /// The dim-0 interval a subscription can match boxes in: the query
-    /// point's first coordinate widened by radius plus pruning slack.
-    fn sub_interval(q: &SimilarityQuery, scratch: &mut Vec<f64>) -> (f64, f64) {
-        q.feature.write_reals(scratch);
-        match scratch.first() {
-            Some(&p0) => {
-                let r = q.radius + 1e-12;
-                let pad = prune_pad(r);
-                (p0 - r - pad, p0 + r + pad)
-            }
-            // A dimension-less query matches every box at distance zero.
-            None => (f64::NEG_INFINITY, f64::INFINITY),
-        }
     }
 
     /// Peak storage footprint in MBRs.
@@ -370,22 +220,13 @@ impl DataCenter {
     /// Registers a similarity subscription (replica of a query whose key
     /// range covers this node).
     pub fn subscribe_similarity(&mut self, q: SimilarityQuery) {
-        let mut scratch = Vec::new();
-        let (low, high) = Self::sub_interval(&q, &mut scratch);
-        let qid = q.id;
-        self.expiry.push(q.expires.as_ms());
-        let replaced = self.subscriptions.insert(qid, q).is_some();
-        if replaced {
-            // The old entry's interval is stale; rebuild rather than track it.
-            self.rebuild_sub_index();
-        } else {
-            self.sub_index.push(low, high, qid);
-        }
+        note_expiry(&mut self.next_expiry, q.expires);
+        self.subscriptions.insert(q.id, q);
     }
 
     /// Registers an inner-product subscription at the stream's source node.
     pub fn subscribe_inner_product(&mut self, q: InnerProductQuery) {
-        self.expiry.push(q.expires.as_ms());
+        note_expiry(&mut self.next_expiry, q.expires);
         self.ip_subscriptions.insert(q.id, q);
     }
 
@@ -436,28 +277,6 @@ impl DataCenter {
             || self.active_ip_subscriptions(now).next().is_some()
     }
 
-    /// The active similarity subscriptions a freshly arrived summary box can
-    /// satisfy — the symmetric counterpart of [`DataCenter::local_candidates`]
-    /// for the publish side. The subscription interval index prunes by the
-    /// box's dim-0 extent before the exact `min_dist` test, so the result is
-    /// exactly the set a full scan would produce, ordered deterministically
-    /// by (interval low, query id).
-    pub fn matching_subscriptions(&self, mbr: &Mbr, now: SimTime) -> Vec<&SimilarityQuery> {
-        let (low, high) = extent0(mbr);
-        let mut out = Vec::new();
-        let mut point = Vec::new();
-        self.sub_index.for_overlapping(low, high, |qid| {
-            let q = &self.subscriptions[&qid];
-            if !q.expired(now) {
-                q.feature.write_reals(&mut point);
-                if mbr.min_dist(&point) <= q.radius + 1e-12 {
-                    out.push(q);
-                }
-            }
-        });
-        out
-    }
-
     // ------------------------------------------------------------------
     // Location service
     // ------------------------------------------------------------------
@@ -481,19 +300,26 @@ impl DataCenter {
     /// space and to eliminate query responses that contain stale
     /// information".
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        // The heap minimum is a lower bound on the earliest expiry of any
-        // live item; while it is in the future, nothing can be expired and
-        // the scan below would only re-inspect live state.
-        if self.expiry.next_at().is_none_or(|t| now.as_ms() < t) {
+        // While the bound is in the future nothing can be expired and the
+        // scan below would only re-inspect live state.
+        if self.next_expiry.is_none_or(|t| now.as_ms() < t) {
             return 0;
         }
         let before = self.store.len() + self.subscriptions.len() + self.ip_subscriptions.len();
-        self.store.retain(|s| now < s.expires);
-        self.subscriptions.retain(|_, q| !q.expired(now));
-        self.ip_subscriptions.retain(|_, q| !q.expired(now));
-        self.expiry.pop_through(now.as_ms());
+        // The survivors' earliest expiry becomes the new (exact) bound.
+        let mut next = None;
+        let mut live = |expires: SimTime| {
+            let keep = now < expires;
+            if keep {
+                note_expiry(&mut next, expires);
+            }
+            keep
+        };
+        self.store.retain(|s| live(s.expires));
+        self.subscriptions.retain(|_, q| live(q.expires));
+        self.ip_subscriptions.retain(|_, q| live(q.expires));
+        self.next_expiry = next;
         self.rebuild_mbr_index();
-        self.rebuild_sub_index();
         before - (self.store.len() + self.subscriptions.len() + self.ip_subscriptions.len())
     }
 }
@@ -643,32 +469,20 @@ mod tests {
     }
 
     #[test]
-    fn matching_subscriptions_equals_brute_force() {
+    fn retain_mbrs_leaves_a_safe_expiry_bound() {
         let mut dc = DataCenter::new(5);
-        for j in 0..40 {
-            dc.subscribe_similarity(query(j, wave(32, 0.05 + j as f64 * 0.04), 0.3, 5000));
+        dc.store_mbr(stored(1, &wave(32, 0.3), 1000));
+        dc.store_mbr(stored(2, &wave(32, 0.4), 3000));
+        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.1, 2000));
+        // Rebalancing moves the earliest-expiring replica away; the bound
+        // stays at 1000 (stale-low), which may only cost a no-op purge.
+        dc.retain_mbrs(|s| s.stream != 1);
+        for (t, expired) in [(1000, 0), (2000, 1), (2500, 0), (3000, 1), (9000, 0)] {
+            let now = SimTime::from_ms(t);
+            assert_eq!(dc.purge_expired(now), expired, "t={t}");
+            assert!(dc.summaries().all(|s| now < s.expires), "t={t}");
+            assert!(dc.all_subscriptions().all(|q| now < q.expires), "t={t}");
         }
-        let now = SimTime::from_ms(10);
-        for i in 0..40u32 {
-            let fv = extract_features(&wave(32, 0.05 + i as f64 * 0.04), Normalization::ZNorm, 2);
-            let mbr = dsi_dsp::Mbr::from_point(&fv.to_reals());
-            let mut indexed: Vec<QueryId> =
-                dc.matching_subscriptions(&mbr, now).iter().map(|q| q.id).collect();
-            indexed.sort_unstable();
-            let mut brute: Vec<QueryId> = dc
-                .all_subscriptions()
-                .filter(|q| !q.expired(now))
-                .filter(|q| mbr.min_dist(&q.feature.to_reals()) <= q.radius + 1e-12)
-                .map(|q| q.id)
-                .collect();
-            brute.sort_unstable();
-            assert_eq!(indexed, brute, "box {i}");
-        }
-        // Replacement with a wider radius must be visible through the index.
-        dc.subscribe_similarity(query(0, wave(32, 0.9), 2.5, 5000));
-        let fv = extract_features(&wave(32, 0.9), Normalization::ZNorm, 2);
-        let mbr = dsi_dsp::Mbr::from_point(&fv.to_reals());
-        assert!(dc.matching_subscriptions(&mbr, now).iter().any(|q| q.id == 0));
     }
 
     #[test]
@@ -690,8 +504,8 @@ mod tests {
     fn purge_at_exact_expiry_tick_removes_once() {
         let mut dc = DataCenter::new(5);
         // `expired(now)` is `now >= expires`: an item expiring exactly at
-        // the purge tick must go in that purge, and the heap bound
-        // (`next_at() <= now`) must let the scan run at equality.
+        // the purge tick must go in that purge, and the expiry bound
+        // (`next_expiry <= now`) must let the scan run at equality.
         dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
         dc.store_mbr(stored(0, &wave(32, 0.2), 1000));
         let tick = SimTime::from_ms(1000);
@@ -707,14 +521,13 @@ mod tests {
     fn duplicated_delivery_does_not_double_purge() {
         let mut dc = DataCenter::new(5);
         // A duplicated NPER delivery re-subscribes the same query; the
-        // replacement leaves one stale heap timestamp behind. The purge at
-        // expiry must remove the single live copy once, and the stale
-        // entry must only cost a no-op scan, never a second removal.
+        // replacement must not count twice. The purge at expiry removes the
+        // single live copy once; purging again at the same tick is a no-op.
         dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
         dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
         let tick = SimTime::from_ms(1000);
         assert_eq!(dc.purge_expired(tick), 1, "one live copy, one removal");
-        assert_eq!(dc.purge_expired(tick), 0, "stale duplicate timestamp is a no-op");
+        assert_eq!(dc.purge_expired(tick), 0, "nothing left to purge");
         // `store_mbr` appends blindly (the dedup cache upstream suppresses
         // duplicated copies); both raw copies purge in one pass.
         dc.store_mbr(stored(0, &wave(32, 0.2), 2000));

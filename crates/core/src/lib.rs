@@ -32,7 +32,6 @@ pub mod cluster;
 pub mod datacenter;
 pub mod load;
 pub mod mapping;
-pub mod messages;
 pub mod query;
 pub mod reliability;
 pub mod report;
@@ -44,13 +43,12 @@ pub use aggregate::{
     quantize, AggregateKind, AggregateNotification, AggregateQuery, AggregateSpec, AggregateValue,
 };
 pub use api::{InnerProductPush, SimilarityPush, StreamIndex};
-pub use batching::MbrBatcher;
+pub use batching::{batching_saving, MbrBatcher, HEADER_BYTES};
 pub use cluster::{Cluster, ClusterConfig, QualityStats, StreamRuntime};
 pub use datacenter::{DataCenter, StoredMbr};
 pub use dsi_sketch::{ErrorBound, SketchDims};
 pub use load::{gini, LoadLedger, NodeLoad, ReweightAction, ReweightConfig, RoundLoad};
 pub use mapping::{feature_to_key, interval_key_range, radius_key_range, stream_key, summary_key};
-pub use messages::{batching_saving, Message, HEADER_BYTES};
 pub use query::{
     AlertCondition, InnerProductQuery, MatchNotification, QueryId, SimilarityKind, SimilarityQuery,
     StreamId,

@@ -1,6 +1,6 @@
 //! Experiment reports: the exact series the paper's figures plot.
 
-use dsi_simnet::{Histogram, InputEvent, Metrics, MsgClass};
+use dsi_simnet::{InputEvent, Metrics, MsgClass};
 use serde::{Deserialize, Serialize};
 
 /// One row of Fig. 6(a): average per-node message load (messages/second),
@@ -164,11 +164,6 @@ impl SystemReport {
             matches_delivered,
             candidates,
         }
-    }
-
-    /// Histogram of per-node load for Fig. 6(b).
-    pub fn load_histogram(&self, bucket_width: f64) -> Histogram {
-        Histogram::build(&self.per_node_load, bucket_width)
     }
 
     /// Expected end-to-end latency of a response message under a latency

@@ -11,6 +11,7 @@ use dsi_dsp::dft::dft;
 use dsi_dsp::{extract_features, Complex64, FeatureVector, Mbr, Normalization};
 use dsi_simnet::SimTime;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn window_strategy(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-50.0f64..50.0, len)
@@ -98,7 +99,7 @@ proptest! {
         }
     }
 
-    // ----- Interval-indexed matching -----
+    // ----- Index-pruned matching -----
 
     #[test]
     fn indexed_local_candidates_equal_brute_force(
@@ -149,52 +150,6 @@ proptest! {
                 dc.local_candidates_linear(&q, now),
                 "index diverged from brute force at t={}", at
             );
-        }
-    }
-
-    #[test]
-    fn indexed_matching_subscriptions_equal_brute_force(
-        subs in prop::collection::vec(
-            (-1.0f64..1.0, -1.0f64..1.0, 0.0f64..0.5, 1u64..5000),
-            0..60,
-        ),
-        boxes in prop::collection::vec(
-            (-1.0f64..1.0, -1.0f64..1.0, 0.0f64..0.3),
-            1..10,
-        ),
-        now_ms in 0u64..5000,
-    ) {
-        let mut dc = DataCenter::new(7);
-        for (qid, &(re, im, radius, exp)) in subs.iter().enumerate() {
-            let fv = FeatureVector::new(
-                vec![Complex64::new(re, im)],
-                Normalization::UnitNorm,
-            );
-            dc.subscribe_similarity(SimilarityQuery {
-                id: qid as u64,
-                client: 0,
-                feature: fv,
-                target: Vec::new(),
-                radius,
-                kind: SimilarityKind::Subsequence,
-                aggregator: 0,
-                expires: SimTime::from_ms(exp),
-            });
-        }
-        let now = SimTime::from_ms(now_ms);
-        for &(re, im, w) in &boxes {
-            let mbr = Mbr::from_corners(vec![re - w, im - w], vec![re + w, im + w]);
-            let mut indexed: Vec<u64> =
-                dc.matching_subscriptions(&mbr, now).iter().map(|q| q.id).collect();
-            indexed.sort_unstable();
-            let mut brute: Vec<u64> = dc
-                .all_subscriptions()
-                .filter(|q| !q.expired(now))
-                .filter(|q| mbr.min_dist(&q.feature.to_reals()) <= q.radius + 1e-12)
-                .map(|q| q.id)
-                .collect();
-            brute.sort_unstable();
-            prop_assert_eq!(indexed, brute);
         }
     }
 
@@ -290,9 +245,11 @@ proptest! {
     fn summary_store_equals_per_entry_model(
         ops in prop::collection::vec(
             // (selector, corner list for pushes, stream, origin, time/expiry)
-            // selector 0..=5: push; 6..=7: purge at t; 8: retain even streams.
+            // selector 0..=5: push; 6..=7: purge at t; 8: retain even streams;
+            // 9..=10: similarity subscription (ids collide, so replacement
+            // happens); 11: inner-product subscription.
             (
-                0u8..9,
+                0u8..12,
                 prop::collection::vec((-10.0f64..10.0, 0.0f64..2.0), 0..3),
                 0u32..20,
                 0u64..8,
@@ -303,6 +260,13 @@ proptest! {
     ) {
         let mut store = SummaryStore::default();
         let mut model: Vec<StoredMbr> = Vec::new();
+        // The same pushes, subscriptions and purges drive a `DataCenter`
+        // against a model of expiry times only (it has no public retain):
+        // its one expiry bound must never hide an expired item of any table.
+        let mut dc = DataCenter::new(7);
+        let mut dc_mbrs: Vec<u64> = Vec::new();
+        let mut subs: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut ip_subs: BTreeMap<u64, u64> = BTreeMap::new();
         for (kind, corners, stream, origin, t) in &ops {
             match kind {
                 0..=5 => {
@@ -315,16 +279,54 @@ proptest! {
                         expires: SimTime::from_ms(*t),
                     };
                     store.push_stored(&rec);
+                    dc.store_mbr(rec.clone());
+                    dc_mbrs.push(*t);
                     model.push(rec);
                 }
                 6 | 7 => {
                     let now = SimTime::from_ms(*t);
                     store.retain(|s| now < s.expires);
                     model.retain(|r| now < r.expires);
+
+                    let before = dc_mbrs.len() + subs.len() + ip_subs.len();
+                    dc_mbrs.retain(|e| t < e);
+                    subs.retain(|_, e| t < e);
+                    ip_subs.retain(|_, e| t < e);
+                    let expired = before - (dc_mbrs.len() + subs.len() + ip_subs.len());
+                    prop_assert_eq!(dc.purge_expired(now), expired, "purge count at t={}", t);
+                    prop_assert!(dc.summaries().all(|s| now < s.expires));
+                    prop_assert!(dc.all_subscriptions().all(|q| now < q.expires));
+                    prop_assert!(dc.all_ip_subscriptions().all(|q| now < q.expires));
+                    prop_assert_eq!(dc.mbr_count(), dc_mbrs.len());
+                    prop_assert_eq!(dc.subscription_count(), subs.len() + ip_subs.len());
                 }
-                _ => {
+                8 => {
                     store.retain(|s| s.stream % 2 == 0);
                     model.retain(|r| r.stream % 2 == 0);
+                }
+                9 | 10 => {
+                    let id = u64::from(*stream % 4);
+                    dc.subscribe_similarity(SimilarityQuery {
+                        id,
+                        client: 0,
+                        feature: FeatureVector::new(
+                            vec![Complex64::new(0.1, 0.2)],
+                            Normalization::UnitNorm,
+                        ),
+                        target: Vec::new(),
+                        radius: 0.1,
+                        kind: SimilarityKind::Subsequence,
+                        aggregator: 0,
+                        expires: SimTime::from_ms(*t),
+                    });
+                    subs.insert(id, *t);
+                }
+                _ => {
+                    let id = u64::from(*stream % 4);
+                    dc.subscribe_inner_product(InnerProductQuery::point(
+                        id, 0, *stream, 0, SimTime::from_ms(*t),
+                    ));
+                    ip_subs.insert(id, *t);
                 }
             }
             prop_assert_eq!(store.len(), model.len());

@@ -198,25 +198,9 @@ impl FeatureExtractor {
         self.mode
     }
 
-    /// Consumes one stream value; returns the current summary once the
-    /// window is full.
-    // dsilint: allow(hot-path-alloc, legacy whole-vector API: the ingest path uses update_scratch + current_into; nominal .update resolution aliases this with the sketch updates)
-    pub fn update(&mut self, value: f64) -> Option<FeatureVector> {
-        let evicted = self.window.push(value);
-        self.raw.update(value, evicted);
-        self.stats.update(value, evicted);
-        if !self.raw.is_warm() {
-            return None;
-        }
-        Some(self.current())
-    }
-
-    /// Allocation-free variant of [`FeatureExtractor::update`]: consumes one
-    /// value and, once the window is full, writes the summary into `scratch`
-    /// (returning `true`). Bit-identical to `update` — both derive the
-    /// normalized prefix with the same operations in the same order — but
-    /// reuses the scratch buffers instead of allocating a [`FeatureVector`]
-    /// per tick.
+    /// Consumes one stream value and, once the window is full, writes the
+    /// current summary into `scratch` (returning `true`), reusing its
+    /// buffers instead of allocating a [`FeatureVector`] per tick.
     pub fn update_scratch(&mut self, value: f64, scratch: &mut SummaryScratch) -> bool {
         let evicted = self.window.push(value);
         self.raw.update(value, evicted);
@@ -229,7 +213,7 @@ impl FeatureExtractor {
     }
 
     /// Writes the current (full) window's summary into `scratch`, reusing
-    /// its capacity. Same values as [`FeatureExtractor::current`].
+    /// its capacity.
     ///
     /// # Panics
     /// Panics if called before a full window has been consumed.
@@ -263,32 +247,14 @@ impl FeatureExtractor {
         }
     }
 
-    /// The summary of the current (full) window.
+    /// The summary of the current (full) window as an owned vector.
     ///
     /// # Panics
     /// Panics if called before a full window has been consumed.
     pub fn current(&self) -> FeatureVector {
-        assert!(self.raw.is_warm(), "feature extractor not warm yet");
-        let raw = self.raw.coeffs();
-        let coeffs: Vec<Complex64> = match self.mode {
-            Normalization::ZNorm => {
-                let denom = self.stats.std_dev() * (self.window_len() as f64).sqrt();
-                if denom <= f64::EPSILON {
-                    vec![Complex64::ZERO; self.k]
-                } else {
-                    raw[1..=self.k].iter().map(|c| *c / denom).collect()
-                }
-            }
-            Normalization::UnitNorm => {
-                let denom = self.stats.l2_norm();
-                if denom <= f64::EPSILON {
-                    vec![Complex64::ZERO; self.k]
-                } else {
-                    raw[..self.k].iter().map(|c| *c / denom).collect()
-                }
-            }
-        };
-        FeatureVector::new(coeffs, self.mode)
+        let mut scratch = SummaryScratch::default();
+        self.current_into(&mut scratch);
+        FeatureVector::new(scratch.coeffs, self.mode)
     }
 
     /// Snapshot of the raw window (oldest first). Used by exact-verification
@@ -332,10 +298,11 @@ mod tests {
         let xs = ramp(120, 0.05, 0.0);
         let (w, k) = (32, 4);
         let mut ex = FeatureExtractor::new(w, k, Normalization::ZNorm);
+        let mut scratch = SummaryScratch::default();
         for (i, &x) in xs.iter().enumerate() {
-            if let Some(fv) = ex.update(x) {
+            if ex.update_scratch(x, &mut scratch) {
                 let batch = extract_features(&xs[i + 1 - w..=i], Normalization::ZNorm, k);
-                for (a, b) in fv.coeffs().iter().zip(batch.coeffs().iter()) {
+                for (a, b) in scratch.coeffs.iter().zip(batch.coeffs().iter()) {
                     assert!(a.approx_eq(*b, 1e-8), "step {i}: {a:?} vs {b:?}");
                 }
             }
@@ -347,10 +314,11 @@ mod tests {
         let xs = ramp(90, 0.02, 1.3);
         let (w, k) = (16, 3);
         let mut ex = FeatureExtractor::new(w, k, Normalization::UnitNorm);
+        let mut scratch = SummaryScratch::default();
         for (i, &x) in xs.iter().enumerate() {
-            if let Some(fv) = ex.update(x) {
+            if ex.update_scratch(x, &mut scratch) {
                 let batch = extract_features(&xs[i + 1 - w..=i], Normalization::UnitNorm, k);
-                for (a, b) in fv.coeffs().iter().zip(batch.coeffs().iter()) {
+                for (a, b) in scratch.coeffs.iter().zip(batch.coeffs().iter()) {
                     assert!(a.approx_eq(*b, 1e-8), "step {i}");
                 }
             }
@@ -358,27 +326,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_path_is_bit_identical_to_update() {
-        // The zero-alloc contract is only safe because the scratch path is
-        // *bit*-identical to the allocating one — compare via to_bits, not
-        // approx_eq, across both normalizations and a degenerate window.
+    fn owned_summary_flattens_to_the_scratch_reals() {
+        // `current()` is built from `current_into`, so the coefficients
+        // agree by construction; what is written twice is the re/im
+        // interleave (`write_reals` vs the scratch fill). Compare via
+        // to_bits across both normalizations and a degenerate window.
         for mode in [Normalization::ZNorm, Normalization::UnitNorm] {
-            let mut a = FeatureExtractor::new(16, 3, mode);
-            let mut b = FeatureExtractor::new(16, 3, mode);
+            let mut ex = FeatureExtractor::new(16, 3, mode);
             let mut scratch = SummaryScratch::default();
             let xs: Vec<f64> = (0..80)
                 .map(|i| if (20..40).contains(&i) { 7.0 } else { (i as f64 * 0.31).sin() * 3.0 })
                 .collect();
             for (i, &x) in xs.iter().enumerate() {
-                let fv = a.update(x);
-                let warm = b.update_scratch(x, &mut scratch);
-                assert_eq!(fv.is_some(), warm, "warm-up divergence at step {i}");
-                if let Some(fv) = fv {
-                    assert_eq!(fv.coeffs().len(), scratch.coeffs.len());
-                    for (u, v) in fv.coeffs().iter().zip(scratch.coeffs.iter()) {
-                        assert_eq!(u.re.to_bits(), v.re.to_bits(), "step {i}");
-                        assert_eq!(u.im.to_bits(), v.im.to_bits(), "step {i}");
-                    }
+                assert_eq!(ex.update_scratch(x, &mut scratch), i + 1 >= 16, "warm-up at step {i}");
+                if ex.is_warm() {
+                    let fv = ex.current();
+                    assert_eq!(fv.coeffs(), &scratch.coeffs[..], "step {i}");
                     let reals = fv.to_reals();
                     assert_eq!(reals.len(), scratch.reals.len());
                     for (u, v) in reals.iter().zip(scratch.reals.iter()) {
@@ -421,8 +384,10 @@ mod tests {
     fn first_real_is_bounded() {
         let xs = ramp(500, -0.03, 2.0);
         let mut ex = FeatureExtractor::new(64, 2, Normalization::ZNorm);
+        let mut scratch = SummaryScratch::default();
         for &x in &xs {
-            if let Some(fv) = ex.update(x) {
+            if ex.update_scratch(x, &mut scratch) {
+                let fv = ex.current();
                 assert!(fv.first_real() >= -1.0 && fv.first_real() <= 1.0);
             }
         }
@@ -466,11 +431,11 @@ mod tests {
     #[test]
     fn constant_window_yields_zero_features() {
         let mut ex = FeatureExtractor::new(8, 2, Normalization::ZNorm);
-        let mut last = None;
+        let mut scratch = SummaryScratch::default();
         for _ in 0..10 {
-            last = ex.update(42.0);
+            ex.update_scratch(42.0, &mut scratch);
         }
-        let fv = last.unwrap();
+        let fv = ex.current();
         assert!(fv.coeffs().iter().all(|c| c.norm() == 0.0));
         assert_eq!(fv.first_real(), 0.0);
     }
@@ -487,10 +452,11 @@ mod tests {
     #[test]
     fn warmup_returns_none() {
         let mut ex = FeatureExtractor::new(4, 1, Normalization::UnitNorm);
-        assert!(ex.update(1.0).is_none());
-        assert!(ex.update(2.0).is_none());
-        assert!(ex.update(3.0).is_none());
-        assert!(ex.update(4.0).is_some());
+        let mut scratch = SummaryScratch::default();
+        assert!(!ex.update_scratch(1.0, &mut scratch));
+        assert!(!ex.update_scratch(2.0, &mut scratch));
+        assert!(!ex.update_scratch(3.0, &mut scratch));
+        assert!(ex.update_scratch(4.0, &mut scratch));
         assert!(ex.is_warm());
     }
 

@@ -124,17 +124,6 @@ impl HaarSynopsis {
     }
 }
 
-/// Fraction of a signal's energy captured by its first `k` *fixed-prefix*
-/// coefficients under a transform — the summarizer-quality metric the
-/// DFT-vs-Haar ablation reports.
-pub fn prefix_energy_fraction(spectrum_energy_prefix: f64, total_energy: f64) -> f64 {
-    if total_energy <= 0.0 {
-        1.0
-    } else {
-        (spectrum_energy_prefix / total_energy).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

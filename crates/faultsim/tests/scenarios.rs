@@ -828,13 +828,55 @@ fn soak_accuracy_campaign() {
     }
 }
 
+/// One seed of the partition soak: a 12-node split-brain schedule of
+/// `events` events whose minority is `frac` of the ring, under `drop`
+/// ambient all-class loss. Odd seeds run bidirectional; every third seed
+/// forks the minority into two islands.
+fn partition_soak_case(seed: u64, frac: f64, drop: f64, events: usize) -> RunReport {
+    let num_nodes = 12usize;
+    let minority = (((num_nodes as f64) * frac).round() as usize).clamp(1, num_nodes - 1);
+    let cut: Vec<usize> = (num_nodes - minority..num_nodes).collect();
+    let islands = if seed.is_multiple_of(3) && minority >= 2 {
+        vec![cut[..minority / 2].to_vec(), cut[minority / 2..].to_vec()]
+    } else {
+        vec![cut]
+    };
+    let mut cfg = ScenarioConfig {
+        num_events: events,
+        num_nodes,
+        num_streams: 10,
+        ..ScenarioConfig::default()
+    }
+    .with_partition(split(islands, 2 + (seed % 3) as u32, 2 + (seed % 4) as u32));
+    if drop > 0.0 {
+        cfg = cfg.with_class_faults(allclass(drop));
+    }
+    if seed % 2 == 1 {
+        cfg = cfg.bidirectional();
+    }
+    let report = assert_clean(seed, cfg);
+    assert!(report.mbr_ships > 0);
+    report
+}
+
+/// The soak-found seed, in tier-1: seed 4001 at the four lossy nightly
+/// cells is where `multicast_with_failover` once picked an entry that
+/// disagreed with its route tail (fixed in PR 11).
+#[test]
+fn partition_soak_seed_4001_stays_clean_at_the_lossy_cells() {
+    for events in [120, 300] {
+        for frac in [0.25, 0.4] {
+            partition_soak_case(4001, frac, 0.1, events);
+        }
+    }
+}
+
 /// Partition soak for the scheduled CI matrix: 16 fresh seeds of
 /// split-brain schedules with the minority fraction, schedule length and
 /// ambient loss taken from the environment — `DSI_PART_FRAC` (default
 /// 0.3), `DSI_PART_EVENTS` (default 200) and `DSI_LOSSY_DROP` (default
-/// 0.0; the CI matrix sweeps duration × fraction × drop). Odd seeds run
-/// bidirectional; every third seed forks the minority into two islands,
-/// so two- and three-way splits both soak. Run with:
+/// 0.0; the CI matrix sweeps duration × fraction × drop). Two- and
+/// three-way splits both soak. Run with:
 /// `DSI_PART_FRAC=0.4 DSI_LOSSY_DROP=0.1 cargo test -p dsi-faultsim soak_partition -- --ignored`
 #[test]
 #[ignore = "long soak; run explicitly or from the scheduled CI matrix"]
@@ -853,33 +895,9 @@ fn soak_partition_campaign() {
         .ok()
         .map(|v| v.parse().expect("DSI_PART_EVENTS must be an event count"))
         .unwrap_or(200);
-    let num_nodes = 12usize;
-    let minority = (((num_nodes as f64) * frac).round() as usize).clamp(1, num_nodes - 1);
-    let mut suppressed_total = 0u64;
-    for seed in 4000..4016u64 {
-        let cut: Vec<usize> = (num_nodes - minority..num_nodes).collect();
-        let islands = if seed % 3 == 0 && minority >= 2 {
-            vec![cut[..minority / 2].to_vec(), cut[minority / 2..].to_vec()]
-        } else {
-            vec![cut]
-        };
-        let mut cfg = ScenarioConfig {
-            num_events: events,
-            num_nodes,
-            num_streams: 10,
-            ..ScenarioConfig::default()
-        }
-        .with_partition(split(islands, 2 + (seed % 3) as u32, 2 + (seed % 4) as u32));
-        if drop > 0.0 {
-            cfg = cfg.with_class_faults(allclass(drop));
-        }
-        if seed % 2 == 1 {
-            cfg = cfg.bidirectional();
-        }
-        let report = assert_clean(seed, cfg);
-        assert!(report.mbr_ships > 0);
-        suppressed_total += report.partition_suppressed;
-    }
+    let suppressed_total: u64 = (4000..4016u64)
+        .map(|seed| partition_soak_case(seed, frac, drop, events).partition_suppressed)
+        .sum();
     // The suppression ledger only charges *attempted* crossings, and only
     // the armed retry layer keeps probing the cut — on the plain path the
     // side-aware ring never tries, so the ledger is legitimately empty.

@@ -83,12 +83,6 @@ impl WorkloadConfig {
         self.query_radius = radius;
         self
     }
-
-    /// Returns a copy with a different MBR batching factor.
-    pub fn with_mbr_batch(mut self, zeta: usize) -> Self {
-        self.mbr_batch = zeta;
-        self
-    }
 }
 
 #[cfg(test)]

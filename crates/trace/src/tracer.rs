@@ -66,11 +66,6 @@ impl Tracer {
         self.clear();
     }
 
-    /// Stop recording (captured records are kept until [`Tracer::clear`]).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Whether recording entry points currently capture anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -126,11 +121,6 @@ impl Tracer {
     #[inline]
     pub fn hop_ms(&self) -> u64 {
         self.hop_ms
-    }
-
-    /// Override the analytic per-hop latency (default 50 ms).
-    pub fn set_hop_ms(&mut self, ms: u64) {
-        self.hop_ms = ms;
     }
 
     /// Number of records evicted by the ring bound since the last clear.

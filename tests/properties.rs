@@ -6,6 +6,7 @@ use dsindex::chord::{covering_nodes, IdSpace, RangeStrategy, Ring, Sha1};
 use dsindex::core::{feature_to_key, radius_key_range};
 use dsindex::dsp::{
     extract_features, normalized_distance, FeatureExtractor, Normalization, SlidingWindow,
+    SummaryScratch,
 };
 use proptest::prelude::*;
 
@@ -42,12 +43,13 @@ proptest! {
         let (w, k) = (16usize, 3usize);
         let mode = if znorm { Normalization::ZNorm } else { Normalization::UnitNorm };
         let mut ex = FeatureExtractor::new(w, k, mode);
+        let mut scratch = SummaryScratch::default();
         let mut win = SlidingWindow::new(w);
         for &x in &xs {
             win.push(x);
-            if let Some(fv) = ex.update(x) {
+            if ex.update_scratch(x, &mut scratch) {
                 let batch = extract_features(&win.to_vec(), mode, k);
-                for (u, v) in fv.coeffs().iter().zip(batch.coeffs().iter()) {
+                for (u, v) in scratch.coeffs.iter().zip(batch.coeffs().iter()) {
                     prop_assert!(u.approx_eq(*v, 1e-6), "{u:?} vs {v:?}");
                 }
             }
