@@ -12,13 +12,16 @@
 //! 4. the observability layer — a traced golden-style run, reporting
 //!    exact per-class latency/hop percentiles from the causal trace
 //!    (`dsi-trace`) and writing a chrome://tracing timeline to
-//!    `target/bench_trace.trace.json` for manual inspection.
+//!    `target/bench_trace.trace.json` for manual inspection;
+//! 5. `routing` — the Chord layer alone on a 1 000-node ring: ns per
+//!    iterative lookup, ns per hop, ns per range-multicast plan.
 //!
 //! Parallel speedups scale with available cores (`workers` is recorded in
 //! the output; override with `DSI_WORKERS`). `--quick` / `DSI_QUICK=1`
 //! shrinks every population for CI smoke runs.
 
 use dsi_bench::{parallel_seed_reports, quick_mode, worker_count};
+use dsi_chord::{multicast, ChordId, IdSpace, RangeStrategy, Ring};
 use dsi_core::{
     run_experiment, run_experiment_traced, Cluster, ClusterConfig, DataCenter, ExperimentConfig,
     SimilarityKind, SimilarityQuery, StoredMbr,
@@ -315,6 +318,47 @@ fn bench_trace(num_nodes: usize, warmup_ms: u64, measure_ms: u64) -> Value {
     ])
 }
 
+/// The routing layer standing alone: random lookups and range-multicast
+/// plans over a converged ring of SHA-1 node identifiers, the way every
+/// emitted MBR drives it (ranges a few node-arcs wide).
+fn bench_routing(nodes: usize, ops: usize) -> Value {
+    let space = IdSpace::new(32);
+    let ring =
+        Ring::with_nodes(space, (0..nodes).map(|i| space.hash_str(&format!("routing-node-{i}"))));
+    let ids = ring.node_ids();
+    let mut rng = XorShift(0x5eed_0005);
+    // (origin node, key) pairs shared by both lanes.
+    let probes: Vec<(ChordId, ChordId)> = (0..ops)
+        .map(|_| (ids[rng.next_u64() as usize % ids.len()], space.reduce(rng.next_u64())))
+        .collect();
+    let start = Instant::now();
+    let mut hops = 0u64;
+    for &(from, key) in &probes {
+        hops += u64::from(black_box(ring.lookup(from, key)).hops());
+    }
+    let lookup_ns = start.elapsed().as_nanos() as f64;
+
+    // Ranges of about 3.5 mean node-arcs: roughly 4.5 covering nodes each.
+    let width = space.modulus() / ids.len() as u64 * 7 / 2;
+    let start = Instant::now();
+    let mut deliveries = 0u64;
+    for &(origin, lo) in &probes {
+        let plan = multicast(&ring, origin, lo, space.add(lo, width), RangeStrategy::Sequential);
+        deliveries += black_box(plan).deliveries.len() as u64;
+    }
+    let multicast_ns = start.elapsed().as_nanos() as f64;
+
+    obj(vec![
+        ("nodes", u64v(ids.len() as u64)),
+        ("ops", u64v(ops as u64)),
+        ("ns_per_lookup", f64v(lookup_ns / ops as f64)),
+        ("ns_per_hop", f64v(lookup_ns / hops as f64)),
+        ("hops_mean", f64v(hops as f64 / ops as f64)),
+        ("ns_per_multicast_plan", f64v(multicast_ns / ops as f64)),
+        ("deliveries_mean", f64v(deliveries as f64 / ops as f64)),
+    ])
+}
+
 fn main() {
     let quick = quick_mode();
     let (stored, queries) = if quick { (2_000, 200) } else { (10_000, 2_000) };
@@ -322,6 +366,7 @@ fn main() {
     let (seeds, warm, meas) = if quick { (2, 6_000, 6_000) } else { (5, 12_000, 24_000) };
     let (tr_nodes, tr_warm, tr_meas) =
         if quick { (10, 2_000, 4_000) } else { (15, 12_000, 20_000) };
+    let routing_ops = if quick { 20_000 } else { 200_000 };
 
     // Ingest runs first: it is the most allocation-sensitive lane, and
     // measuring it in a fresh heap (before the candidates phase churns
@@ -335,6 +380,8 @@ fn main() {
     let sweep = bench_driver_sweep(seeds, warm, meas);
     eprintln!("[bench_baseline] traced run ({tr_nodes} nodes, {} sim-ms)...", tr_warm + tr_meas);
     let trace = bench_trace(tr_nodes, tr_warm, tr_meas);
+    eprintln!("[bench_baseline] routing (1000-node ring, {routing_ops} lookups and plans)...");
+    let routing = bench_routing(1_000, routing_ops);
 
     let report = obj(vec![
         ("bench", Value::Str("ingest_baseline".to_string())),
@@ -345,6 +392,7 @@ fn main() {
         ("ingest", ingest),
         ("driver_sweep", sweep),
         ("trace", trace),
+        ("routing", routing),
     ]);
     let rendered = serde_json::to_string_pretty(&report).expect("serialize");
     // `DSI_BENCH_OUT` redirects the report (e.g. so CI's regression guard

@@ -76,18 +76,23 @@ impl MulticastPlan {
     /// one hop earlier. Works for both strategies because deliveries are in
     /// ring order with per-node depths.
     pub fn forward_edges(&self) -> Vec<(ChordId, ChordId)> {
-        let mut edges = Vec::with_capacity(self.deliveries.len().saturating_sub(1));
-        for pair in self.deliveries.windows(2) {
+        self.iter_forward_edges().collect()
+    }
+
+    /// [`MulticastPlan::forward_edges`] without the `Vec`, for the per-MBR
+    /// billing path.
+    pub fn iter_forward_edges(&self) -> impl Iterator<Item = (ChordId, ChordId)> + '_ {
+        self.deliveries.windows(2).filter_map(|pair| {
             let (a, b) = (pair[0], pair[1]);
             if b.hops == a.hops + 1 {
-                edges.push((a.node, b.node));
+                Some((a.node, b.node))
             } else if a.hops == b.hops + 1 {
-                edges.push((b.node, a.node));
+                Some((b.node, a.node))
             } else {
                 debug_assert!(false, "adjacent deliveries must differ by one hop");
+                None
             }
-        }
-        edges
+        })
     }
 
     /// [`MulticastPlan::forward_edges`] annotated with the *absolute* hop

@@ -6,6 +6,11 @@
 //! available for assertions), while `lookup` walks finger tables exactly the
 //! way the protocol routes, returning the full hop path so the network
 //! simulator can charge per-hop latency.
+//!
+//! The membership is two ring-ordered columns — a sorted `Vec<ChordId>` and
+//! the parallel `Vec<NodeState>` — so liveness probes and ground-truth
+//! successor / predecessor queries are binary searches over one contiguous
+//! id column; only churn (`join` / `leave` / `crash`) pays an O(N) shift.
 
 use crate::id::{ChordId, IdSpace};
 use serde::{Deserialize, Serialize};
@@ -32,6 +37,19 @@ pub struct NodeState {
     pub suspects: Vec<ChordId>,
 }
 
+impl NodeState {
+    /// A node that knows nobody yet.
+    fn empty(id: ChordId) -> Self {
+        NodeState {
+            id,
+            fingers: Vec::new(),
+            successors: Vec::new(),
+            predecessor: None,
+            suspects: Vec::new(),
+        }
+    }
+}
+
 /// Result of an iterative lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lookup {
@@ -53,7 +71,10 @@ impl Lookup {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ring {
     space: IdSpace,
-    nodes: BTreeMap<ChordId, NodeState>,
+    /// Live node identifiers, ascending (= ring order from key 0).
+    ids: Vec<ChordId>,
+    /// `states[i]` is the routing state of node `ids[i]`.
+    states: Vec<NodeState>,
     succ_list_len: usize,
     /// Active network partition: node id → side index. Empty when the
     /// network is whole (the common case); unlisted nodes are side 0.
@@ -67,7 +88,8 @@ impl Ring {
     pub fn new(space: IdSpace) -> Self {
         Ring {
             space,
-            nodes: BTreeMap::new(),
+            ids: Vec::new(),
+            states: Vec::new(),
             succ_list_len: DEFAULT_SUCCESSOR_LIST_LEN,
             sides: BTreeMap::new(),
         }
@@ -93,54 +115,90 @@ impl Ring {
     /// Number of live nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
     /// True if there are no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.ids.is_empty()
     }
 
     /// True if `id` is a live node.
     #[inline]
     pub fn contains(&self, id: ChordId) -> bool {
-        self.nodes.contains_key(&id)
+        self.slot(id).is_some()
+    }
+
+    /// Column position of a live node.
+    #[inline]
+    fn slot(&self, id: ChordId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// All live node identifiers in ring order, without allocating.
     /// Hot loops (stabilization, oracles, benches) should prefer this over
     /// [`Ring::node_ids`].
     pub fn iter_ids(&self) -> impl Iterator<Item = ChordId> + '_ {
-        self.nodes.keys().copied()
+        self.ids.iter().copied()
     }
 
     /// All live node identifiers in ring order, collected.
     pub fn node_ids(&self) -> Vec<ChordId> {
-        self.iter_ids().collect()
+        self.ids.clone()
     }
 
     /// Read access to a node's routing state.
     pub fn node(&self, id: ChordId) -> Option<&NodeState> {
-        self.nodes.get(&id)
+        self.slot(id).map(|i| &self.states[i])
+    }
+
+    /// The state of a node that must be live.
+    #[inline]
+    fn state(&self, id: ChordId) -> &NodeState {
+        self.node(id).unwrap_or_else(|| panic!("node {id} is not a live node"))
+    }
+
+    #[inline]
+    fn state_mut(&mut self, id: ChordId) -> Option<&mut NodeState> {
+        self.slot(id).map(|i| &mut self.states[i])
+    }
+
+    /// Number of live identifiers strictly below `key`: the column position
+    /// of `key`'s ground-truth successor (`len()` means "wrap to the first").
+    #[inline]
+    fn rank(&self, key: ChordId) -> usize {
+        self.ids.partition_point(|&n| n < key)
+    }
+
+    /// Inserts `state` at its ring position (replacing a same-id state).
+    /// Returns whether the id was new.
+    fn insert_state(&mut self, state: NodeState) -> bool {
+        match self.ids.binary_search(&state.id) {
+            Ok(i) => {
+                self.states[i] = state;
+                false
+            }
+            Err(i) => {
+                self.ids.insert(i, state.id);
+                self.states.insert(i, state);
+                true
+            }
+        }
+    }
+
+    /// Removes a node from both columns.
+    fn remove_state(&mut self, id: ChordId) -> Option<NodeState> {
+        let i = self.slot(id)?;
+        self.ids.remove(i);
+        Some(self.states.remove(i))
     }
 
     /// Inserts a node with empty routing state (no finger computation).
     /// Callers must follow with [`Ring::rebuild_all`] or [`Ring::join`].
     pub fn insert_raw(&mut self, id: ChordId) -> bool {
         assert!(id < self.space.modulus(), "node id outside identifier space");
-        self.nodes
-            .insert(
-                id,
-                NodeState {
-                    id,
-                    fingers: Vec::new(),
-                    successors: Vec::new(),
-                    predecessor: None,
-                    suspects: Vec::new(),
-                },
-            )
-            .is_none()
+        self.insert_state(NodeState::empty(id))
     }
 
     // ------------------------------------------------------------------
@@ -174,11 +232,8 @@ impl Ring {
             return self.ideal_successor(key);
         }
         let side = self.side(origin);
-        self.nodes
-            .range(key..)
-            .chain(self.nodes.range(..key))
-            .map(|(id, _)| *id)
-            .find(|&id| self.side(id) == side)
+        let (before, from) = self.ids.split_at(self.rank(key));
+        from.iter().chain(before).copied().find(|&id| self.side(id) == side)
     }
 
     /// The true predecessor of `key` as seen from `origin`'s side.
@@ -187,12 +242,8 @@ impl Ring {
             return self.ideal_predecessor(key);
         }
         let side = self.side(origin);
-        self.nodes
-            .range(..key)
-            .rev()
-            .chain(self.nodes.range(key..).rev())
-            .map(|(id, _)| *id)
-            .find(|&id| self.side(id) == side)
+        let (before, from) = self.ids.split_at(self.rank(key));
+        before.iter().rev().chain(from.iter().rev()).copied().find(|&id| self.side(id) == side)
     }
 
     /// Splits the network into islands. `assignment` maps node ids to side
@@ -206,12 +257,9 @@ impl Ring {
     /// consistent sub-ring.
     pub fn split<I: IntoIterator<Item = (ChordId, u8)>>(&mut self, assignment: I) {
         self.sides = assignment.into_iter().collect();
-        let ids = self.node_ids();
-        for &id in &ids {
-            let state = self.nodes.get_mut(&id).expect("listed id");
-            // Borrow-friendly: decide reachability from the sides map only.
-            let sides = &self.sides;
-            let my_side = sides.get(&id).copied().unwrap_or(0);
+        let sides = &self.sides;
+        for state in &mut self.states {
+            let my_side = sides.get(&state.id).copied().unwrap_or(0);
             let cut = |peer: ChordId| sides.get(&peer).copied().unwrap_or(0) != my_side;
 
             let mut suspects: Vec<ChordId> = Vec::new();
@@ -244,10 +292,10 @@ impl Ring {
     /// sub-ring and the ring never reconverges to the global ground truth.
     pub fn heal(&mut self, reprobe: bool) {
         self.sides.clear();
-        let ids = self.node_ids();
-        for &id in &ids {
-            let suspects =
-                std::mem::take(&mut self.nodes.get_mut(&id).expect("listed id").suspects);
+        // Membership does not change below, so column positions are stable.
+        for i in 0..self.ids.len() {
+            let id = self.ids[i];
+            let suspects = std::mem::take(&mut self.states[i].suspects);
             if !reprobe {
                 continue;
             }
@@ -260,7 +308,7 @@ impl Ring {
                 .filter(|&s| self.contains(s) && self.space.in_open(id, s, succ))
                 .min_by_key(|&s| self.space.distance_cw(id, s));
             if let Some(s) = adopted {
-                let state = self.nodes.get_mut(&id).expect("listed id");
+                let state = &mut self.states[i];
                 state.successors.insert(0, s);
                 state.successors.dedup();
                 state.successors.truncate(self.succ_list_len);
@@ -280,7 +328,7 @@ impl Ring {
                 })
                 .min_by_key(|&p| self.space.distance_cw(p, id));
             if let Some(p) = better_pred {
-                self.nodes.get_mut(&id).expect("listed id").predecessor = Some(p);
+                self.states[i].predecessor = Some(p);
             }
         }
     }
@@ -292,29 +340,27 @@ impl Ring {
     /// The true successor of `key`: the first live node whose identifier is
     /// equal to or follows `key` on the circle.
     pub fn ideal_successor(&self, key: ChordId) -> Option<ChordId> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        self.nodes.range(key..).next().or_else(|| self.nodes.iter().next()).map(|(id, _)| *id)
+        self.ids.get(self.rank(key)).or_else(|| self.ids.first()).copied()
     }
 
     /// The true predecessor of `key` (the last node strictly before it).
     pub fn ideal_predecessor(&self, key: ChordId) -> Option<ChordId> {
-        if self.nodes.is_empty() {
-            return None;
+        match self.rank(key) {
+            0 => self.ids.last().copied(),
+            i => Some(self.ids[i - 1]),
         }
-        self.nodes
-            .range(..key)
-            .next_back()
-            .or_else(|| self.nodes.iter().next_back())
-            .map(|(id, _)| *id)
     }
 
     /// The node's believed immediate successor (first live *reachable*
     /// successor-list entry, falling back to ground truth on the node's own
     /// side when the whole list died).
     pub fn successor_of(&self, id: ChordId) -> ChordId {
-        let state = &self.nodes[&id];
+        self.successor_in(self.state(id))
+    }
+
+    /// [`Ring::successor_of`] for a node whose state is already in hand.
+    fn successor_in(&self, state: &NodeState) -> ChordId {
+        let id = state.id;
         for &s in &state.successors {
             if self.contains(s) && self.reachable(id, s) {
                 return s;
@@ -327,24 +373,25 @@ impl Ring {
 
     /// The node's believed predecessor if it is still alive and reachable.
     pub fn predecessor_of(&self, id: ChordId) -> Option<ChordId> {
-        self.nodes[&id].predecessor.filter(|p| self.contains(*p) && self.reachable(id, *p))
+        self.state(id).predecessor.filter(|p| self.contains(*p) && self.reachable(id, *p))
     }
 
     /// Rebuilds exact fingers, successor lists and predecessors for every
     /// node from the global view (what a fully converged network holds).
     pub fn rebuild_all(&mut self) {
-        let ids = self.node_ids();
         let m = self.space.bits() as usize;
-        for &id in &ids {
+        let n = self.ids.len();
+        for i in 0..n {
+            let id = self.ids[i];
             let fingers: Vec<ChordId> = (0..m)
-                .map(|i| {
-                    let start = self.space.add(id, 1u64 << i);
+                .map(|b| {
+                    let start = self.space.add(id, 1u64 << b);
                     self.ideal_successor(start).expect("non-empty")
                 })
                 .collect();
             let mut successors = Vec::with_capacity(self.succ_list_len);
             let mut cur = id;
-            for _ in 0..self.succ_list_len.min(ids.len().saturating_sub(1)).max(1) {
+            for _ in 0..self.succ_list_len.min(n.saturating_sub(1)).max(1) {
                 cur = self.ideal_successor(self.space.add(cur, 1)).expect("non-empty");
                 successors.push(cur);
                 if cur == id {
@@ -352,7 +399,7 @@ impl Ring {
                 }
             }
             let predecessor = self.ideal_predecessor(id);
-            let state = self.nodes.get_mut(&id).expect("listed id");
+            let state = &mut self.states[i];
             state.fingers = fingers;
             state.successors = successors;
             state.predecessor = predecessor;
@@ -363,21 +410,17 @@ impl Ring {
     // Iterative lookup (the protocol)
     // ------------------------------------------------------------------
 
-    /// Finds the node preceding `key` most closely in `from`'s routing
-    /// tables (fingers + successor list), skipping dead entries.
-    fn closest_preceding(&self, from: ChordId, key: ChordId) -> ChordId {
-        let state = &self.nodes[&from];
-        for &f in state.fingers.iter().rev() {
-            if self.contains(f) && self.reachable(from, f) && self.space.in_open(from, f, key) {
-                return f;
-            }
-        }
-        for &s in state.successors.iter().rev() {
-            if self.contains(s) && self.reachable(from, s) && self.space.in_open(from, s, key) {
-                return s;
-            }
-        }
-        from
+    /// Finds the node preceding `key` most closely in `state`'s routing
+    /// tables (fingers + successor list), skipping dead entries. The
+    /// interval test runs first: it rejects most table entries without
+    /// touching the membership column.
+    fn closest_preceding(&self, state: &NodeState, key: ChordId) -> ChordId {
+        let from = state.id;
+        let usable = |n: ChordId| {
+            self.space.in_open(from, n, key) && self.contains(n) && self.reachable(from, n)
+        };
+        let tables = state.fingers.iter().rev().chain(state.successors.iter().rev());
+        tables.copied().find(|&n| usable(n)).unwrap_or(from)
     }
 
     /// Iterative Chord lookup from `from` for `key`, following finger tables
@@ -386,28 +429,34 @@ impl Ring {
     /// # Panics
     /// Panics if `from` is not a live node or the ring is empty.
     pub fn lookup(&self, from: ChordId, key: ChordId) -> Lookup {
-        assert!(self.contains(from), "lookup origin {from} is not a live node");
-        let mut path = vec![from];
-        let mut cur = from;
+        let Some(mut state) = self.node(from) else {
+            panic!("lookup origin {from} is not a live node")
+        };
+        // Converged tables need about log2(N) / 2 hops; reserving log2(N)
+        // covers nearly every path without regrowth.
+        let mut path = Vec::with_capacity(self.ids.len().ilog2() as usize + 2);
+        path.push(from);
         // Bound: with sane tables each hop at least halves the clockwise
         // distance; the generous bound catches inconsistent mid-churn state.
-        let budget = 2 * self.space.bits() as usize + self.nodes.len() + 2;
+        let budget = 2 * self.space.bits() as usize + self.ids.len() + 2;
         for _ in 0..budget {
-            let succ = self.successor_of(cur);
+            // `state` is the current hop's node, resolved once per hop.
+            let cur = state.id;
+            let succ = self.successor_in(state);
             if self.space.in_half_open(cur, key, succ) {
                 if succ != cur {
                     path.push(succ);
                 }
                 return Lookup { owner: succ, path };
             }
-            let next = self.closest_preceding(cur, key);
+            let next = self.closest_preceding(state, key);
             let next = if next == cur { succ } else { next };
             if next == cur {
                 // Single-node ring.
                 return Lookup { owner: cur, path };
             }
             path.push(next);
-            cur = next;
+            state = self.state(next);
         }
         // Tables too stale to terminate — fall back to ground truth on the
         // querying node's side, charging the hops walked so far (models a
@@ -445,23 +494,18 @@ impl Ring {
         let fingers: Vec<ChordId> =
             (0..m).map(|i| self.lookup(bootstrap, self.space.add(id, 1u64 << i)).owner).collect();
         let mut successors = vec![succ];
-        if let Some(s) = self.nodes.get(&succ) {
+        if let Some(s) = self.node(succ) {
             successors.extend(s.successors.iter().copied().filter(|&x| self.reachable(id, x)));
         }
         successors.truncate(self.succ_list_len);
-        self.nodes.insert(
-            id,
-            NodeState { id, fingers, successors, predecessor: None, suspects: Vec::new() },
-        );
+        self.insert_state(NodeState { fingers, successors, ..NodeState::empty(id) });
         // notify(successor): the new node may be its better predecessor.
-        let succ_state = self.nodes.get_mut(&succ).expect("successor is alive");
-        let better = match succ_state.predecessor {
-            Some(p) => self.space.in_open(p, id, succ) || !self.nodes.contains_key(&p),
+        let better = match self.state(succ).predecessor {
+            Some(p) => self.space.in_open(p, id, succ) || !self.contains(p),
             None => true,
         };
         if better {
-            self.nodes.get_mut(&succ).expect("successor checked alive above").predecessor =
-                Some(id);
+            self.state_mut(succ).expect("successor checked alive above").predecessor = Some(id);
         }
     }
 
@@ -469,7 +513,7 @@ impl Ring {
     /// leaving (predecessor's successor pointer and successor's predecessor
     /// pointer are patched).
     pub fn leave(&mut self, id: ChordId) {
-        let Some(state) = self.nodes.remove(&id) else { return };
+        let Some(state) = self.remove_state(id) else { return };
         let succ = state
             .successors
             .iter()
@@ -478,14 +522,14 @@ impl Ring {
             .or_else(|| self.ideal_successor_from(id, self.space.add(id, 1)));
         self.sides.remove(&id);
         if let (Some(pred), Some(succ)) = (state.predecessor, succ) {
-            if let Some(p) = self.nodes.get_mut(&pred) {
+            if let Some(p) = self.state_mut(pred) {
                 if !p.successors.is_empty() {
                     p.successors[0] = succ;
                 } else {
                     p.successors.push(succ);
                 }
             }
-            if let Some(s) = self.nodes.get_mut(&succ) {
+            if let Some(s) = self.state_mut(succ) {
                 if s.predecessor == Some(id) {
                     s.predecessor = Some(pred);
                 }
@@ -496,7 +540,7 @@ impl Ring {
     /// Abrupt failure: the node vanishes; everyone else's pointers dangle
     /// until stabilization repairs them.
     pub fn crash(&mut self, id: ChordId) {
-        self.nodes.remove(&id);
+        self.remove_state(id);
         self.sides.remove(&id);
     }
 
@@ -507,13 +551,12 @@ impl Ring {
     /// Chord's O(N)-per-round maintenance floor).
     pub fn stabilize_round(&mut self) -> u64 {
         let mut messages = 0u64;
-        let ids = self.node_ids();
-        for &id in &ids {
-            if !self.contains(id) {
-                continue;
-            }
+        // Membership does not change within a round, so column positions
+        // are stable.
+        for i in 0..self.ids.len() {
+            let id = self.ids[i];
             messages += 2; // successor.predecessor probe + notify
-            let succ = self.successor_of(id);
+            let succ = self.successor_in(&self.states[i]);
             // stabilize: ask successor for its predecessor.
             let adopted = match self.predecessor_of(succ) {
                 Some(x)
@@ -528,7 +571,7 @@ impl Ring {
             };
             // Refresh the successor list from the adopted successor's list.
             let mut successors = vec![adopted];
-            if let Some(s) = self.nodes.get(&adopted) {
+            if let Some(s) = self.node(adopted) {
                 successors.extend(
                     s.successors
                         .iter()
@@ -538,39 +581,31 @@ impl Ring {
             }
             successors.dedup();
             successors.truncate(self.succ_list_len);
-            self.nodes.get_mut(&id).expect("membership unchanged since collected").successors =
-                successors;
+            self.states[i].successors = successors;
             // notify(adopted): we may be its better predecessor.
             if adopted != id {
-                let cur_pred = self.nodes.get(&adopted).and_then(|s| s.predecessor);
+                let cur_pred = self.node(adopted).and_then(|s| s.predecessor);
                 let should_adopt = match cur_pred {
                     None => true,
                     Some(p) if !self.contains(p) || !self.reachable(adopted, p) => true,
                     Some(p) => self.space.in_open(p, id, adopted),
                 };
                 if should_adopt {
-                    self.nodes
-                        .get_mut(&adopted)
+                    self.state_mut(adopted)
                         .expect("adopted successor is a live node")
                         .predecessor = Some(id);
                 }
             }
         }
         // Drop dead (or partitioned-away, hence unresponsive) predecessors
-        // (Chord's periodic check_predecessor). Membership has not changed
-        // since `ids` was collected above.
-        for &id in &ids {
-            let dead = self
-                .nodes
-                .get(&id)
-                .and_then(|s| s.predecessor)
-                .map(|p| !self.contains(p) || !self.reachable(id, p))
-                .unwrap_or(false);
+        // (Chord's periodic check_predecessor).
+        for i in 0..self.ids.len() {
+            let id = self.ids[i];
+            let dead = self.states[i]
+                .predecessor
+                .is_some_and(|p| !self.contains(p) || !self.reachable(id, p));
             if dead {
-                self.nodes
-                    .get_mut(&id)
-                    .expect("membership unchanged since collected")
-                    .predecessor = None;
+                self.states[i].predecessor = None;
             }
         }
         messages
@@ -582,18 +617,17 @@ impl Ring {
     /// O(N * m * log N) with converged tables.
     pub fn fix_fingers_round(&mut self) -> u64 {
         let mut messages = 0u64;
-        let ids = self.node_ids();
         let m = self.space.bits() as usize;
-        for &id in &ids {
+        for i in 0..self.ids.len() {
+            let id = self.ids[i];
             let mut fingers = Vec::with_capacity(m);
-            for i in 0..m {
-                let target = self.space.add(id, 1u64 << i);
+            for b in 0..m {
+                let target = self.space.add(id, 1u64 << b);
                 let l = self.lookup(id, target);
                 messages += l.hops() as u64;
                 fingers.push(l.owner);
             }
-            self.nodes.get_mut(&id).expect("membership unchanged since collected").fingers =
-                fingers;
+            self.states[i].fingers = fingers;
         }
         messages
     }
@@ -604,7 +638,7 @@ impl Ring {
     /// island must form a consistent sub-ring of its own).
     pub fn is_fully_consistent(&self) -> bool {
         let m = self.space.bits() as usize;
-        self.nodes.values().all(|state| {
+        self.states.iter().all(|state| {
             let id = state.id;
             let peers = if self.sides.is_empty() {
                 self.len()
@@ -615,7 +649,7 @@ impl Ring {
             let true_succ = self
                 .ideal_successor_from(id, self.space.add(id, 1))
                 .expect("a live node can always reach itself");
-            if self.successor_of(id) != true_succ {
+            if self.successor_in(state) != true_succ {
                 return false;
             }
             if peers > 1 && self.predecessor_of(id) != self.ideal_predecessor_from(id, id) {

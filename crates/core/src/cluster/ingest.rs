@@ -6,12 +6,12 @@ use super::{Cluster, StreamRuntime};
 use crate::aggregate::quantize;
 use crate::batching::MbrBatcher;
 use crate::datacenter::{DataCenter, StoredMbr};
-use crate::mapping::interval_key_range;
+use crate::mapping::{interval_key_range, stream_key};
 use crate::query::StreamId;
 use crate::reliability::PendingEffect;
 use dsi_chord::{ChordId, ContentRouter, MulticastPlan};
 use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, SummaryScratch};
-use dsi_simnet::SimTime;
+use dsi_simnet::{NodeIdHash, SimTime};
 use std::collections::HashMap;
 
 /// Batches smaller than this are summarized inline: thread-spawn overhead
@@ -45,7 +45,7 @@ pub(crate) fn worker_count(cap: usize) -> usize {
 /// own window keeps sliding but ships nothing.
 #[inline(always)]
 fn summarize_one(
-    nodes: &HashMap<ChordId, DataCenter>,
+    nodes: &HashMap<ChordId, DataCenter, NodeIdHash>,
     s: &mut StreamRuntime,
     value: f64,
     scratch: &mut SummaryScratch,
@@ -75,7 +75,7 @@ fn store_last_feature(s: &mut StreamRuntime, scratch: &SummaryScratch) {
 /// Worker body for [`Cluster::ingest_batch`]'s parallel path: one private
 /// scratch per worker, then [`summarize_one`] per task.
 fn summarize_chunk(
-    nodes: &HashMap<ChordId, DataCenter>,
+    nodes: &HashMap<ChordId, DataCenter, NodeIdHash>,
     tasks: &mut [(&mut StreamRuntime, f64)],
     emitted: &mut [Option<Mbr>],
 ) {
@@ -95,6 +95,7 @@ impl<R: ContentRouter> Cluster<R> {
         self.streams.push(StreamRuntime {
             id,
             name: name.to_string(),
+            key: stream_key(self.space, name),
             home,
             extractor: FeatureExtractor::new(
                 w.window_len,
@@ -107,6 +108,8 @@ impl<R: ContentRouter> Cluster<R> {
             },
             last_feature: None,
         });
+        // Ids only grow, so pushing keeps the home's list ascending.
+        self.homed.entry(home).or_default().push(id);
         // Location put: route (home -> h2 owner) and store the record.
         self.put_location_unjudged(id);
         id
@@ -286,12 +289,12 @@ impl<R: ContentRouter> Cluster<R> {
     /// Content-routes an MBR from the stream's home to every node covering
     /// its key range (§IV-G), storing a replica (with BSPAN expiry) at each,
     /// and hands the summary back: the batch ingest path returns every
-    /// emitted MBR to its caller, and re-using the owned value avoids one
-    /// clone per emission (the home replica usually comes from a delivery
-    /// clone anyway). Kept out of line so the per-item summarization loops
-    /// stay tight — emissions are the rare path.
+    /// emitted MBR to its caller. Every replica is stored from the one
+    /// borrowed record, so an emission allocates its plan, never per copy.
+    /// Kept out of line so the per-item summarization loops stay tight —
+    /// emissions are the rare path.
     #[inline(never)]
-    // dsilint: allow(hot-path-alloc, cold boundary: MBR emission is the rare path — §14 pins non-emitting steady-state ticks, and emission owns its plan buffers and replica clones)
+    // dsilint: allow(hot-path-alloc, cold boundary: MBR emission is the rare path — §14 pins non-emitting steady-state ticks, and emission owns its plan buffers)
     fn replicate_mbr_ret(
         &mut self,
         stream: StreamId,
@@ -306,8 +309,8 @@ impl<R: ContentRouter> Cluster<R> {
             self.metrics.record_coverage(coverage);
         }
         let expires = now + self.cfg.workload.bspan_ms;
-        let stored = StoredMbr { stream, mbr, origin: home, expires };
-        self.deliver_range(&sent, now, || PendingEffect::StoreMbr(stored.clone()));
+        let effect = PendingEffect::StoreMbr(StoredMbr { stream, mbr, origin: home, expires });
+        self.deliver_range(&sent, now, &effect);
         // With every entry attempt lost nothing on the wire took effect:
         // the summary lands only at its source, and the next shipment or
         // repair round refreshes the range.
@@ -319,17 +322,15 @@ impl<R: ContentRouter> Cluster<R> {
             forward_messages: 0,
             route_path: vec![home],
         });
-        // The summary is also stored locally at the source (§IV-A); when the
-        // multicast already delivered there, the owned value goes back to
-        // the caller unconsumed.
-        let mbr = if plan.deliveries.iter().any(|d| d.node == home) {
-            stored.mbr
-        } else {
-            let mbr = stored.mbr.clone();
-            self.node_mut(home).store_mbr(stored);
-            mbr
+        // The summary is also stored locally at the source (§IV-A) unless
+        // the multicast already delivered there.
+        if !plan.deliveries.iter().any(|d| d.node == home) {
+            self.apply(home, &effect, now);
+        }
+        let PendingEffect::StoreMbr(stored) = effect else {
+            unreachable!("built as StoreMbr above")
         };
-        (mbr, plan)
+        (stored.mbr, plan)
     }
 }
 

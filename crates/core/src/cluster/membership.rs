@@ -78,7 +78,7 @@ impl<R: ContentRouter> Cluster<R> {
                 if !self.nodes[&n].summaries().any(|s| s.matches(rec))
                     && self.send_hop(MsgClass::MbrInternal, *holder, n).arrived()
                 {
-                    self.node_mut(n).store_mbr(rec.clone());
+                    self.node_mut(n).store_mbr_ref(rec);
                 }
             }
             wants.push(want);
@@ -140,7 +140,7 @@ impl<R: ContentRouter> Cluster<R> {
                     // A copy lost after retries leaves the coverage hole
                     // for the next repair round.
                     if self.send_hop(MsgClass::QueryInternal, aggregator, n).arrived() {
-                        self.apply(n, PendingEffect::SubscribeAggregate { query }, now);
+                        self.apply(n, &PendingEffect::SubscribeAggregate { query }, now);
                     }
                 }
             }
@@ -255,7 +255,14 @@ impl Cluster<Ring> {
     /// `home_idx` and refreshes its location-service record.
     pub fn rehome_stream(&mut self, stream: StreamId, home_idx: usize, now: SimTime) {
         let home = self.node_order[home_idx];
-        self.streams[stream as usize].home = home;
+        let old = std::mem::replace(&mut self.streams[stream as usize].home, home);
+        if old != home {
+            if let Some(list) = self.homed.get_mut(&old) {
+                list.retain(|&s| s != stream);
+            }
+            let list = self.homed.entry(home).or_default();
+            list.insert(list.partition_point(|&s| s < stream), stream);
+        }
         if self.tracer.is_enabled() {
             self.tracer.set_now_ms(now.as_ms());
         }
@@ -458,6 +465,27 @@ mod tests {
                 0,
                 "expired records must not be re-copied"
             );
+        }
+    }
+
+    #[test]
+    fn per_home_stream_lists_track_registration_rehoming_and_crashes() {
+        let mut c = small_cluster(6);
+        for i in 0..10 {
+            c.register_stream(&format!("s{i}"), i % 3);
+        }
+        c.rehome_stream(7, 0, SimTime::ZERO); // migrates between live homes
+        c.rehome_stream(7, 0, SimTime::ZERO); // to where it already is
+        let dead = c.node_id(2);
+        c.crash_node(dead);
+        assert!(!c.homed[&dead].is_empty(), "a dead home keeps its list until re-homing");
+        c.rehome_stream(2, 1, SimTime::ZERO);
+        // Every list is exactly the ascending scan it replaces.
+        let homes: Vec<_> = c.node_ids().iter().copied().chain([dead]).collect();
+        for home in homes {
+            let scan: Vec<_> =
+                c.streams().iter().filter(|s| s.home == home).map(|s| s.id).collect();
+            assert_eq!(c.homed.get(&home).cloned().unwrap_or_default(), scan, "home {home}");
         }
     }
 

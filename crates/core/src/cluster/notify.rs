@@ -4,7 +4,7 @@
 use super::send::{Delivery, Dest, QUERY_ROUTE, RESPONSE_ROUTE};
 use super::{Cluster, QueryRuntime};
 use crate::aggregate::{AggregateKind, AggregateNotification, AggregateValue};
-use crate::mapping::{radius_key_range, stream_key};
+use crate::mapping::radius_key_range;
 use crate::query::{InnerProductQuery, MatchNotification, QueryId, SimilarityQuery, StreamId};
 use crate::reliability::PendingEffect;
 use dsi_chord::{multicast, reachable_fraction, ChordId, ContentRouter};
@@ -34,13 +34,10 @@ impl<R: ContentRouter> Cluster<R> {
         // Soft-state location refresh: if churn moved (or lost) the h2
         // record of a stream homed here, re-register it. Free in the steady
         // state; one routed message when the owner changed.
-        let homed: Vec<(StreamId, ChordId)> = self
-            .streams
-            .iter()
-            .filter(|s| s.home == node)
-            .map(|s| (s.id, stream_key(self.space, &s.name)))
-            .collect();
-        for (sid, key) in homed {
+        // The list is lent out for the loop (nothing below edits it).
+        let homed = self.homed.get_mut(&node).map(std::mem::take).unwrap_or_default();
+        for &sid in &homed {
+            let key = self.streams[sid as usize].key;
             // Side-aware: during a partition the stream re-registers with
             // the owner on its *own* side (split-brain serving); the first
             // whole-network refresh after heal re-registers globally — the
@@ -51,8 +48,11 @@ impl<R: ContentRouter> Cluster<R> {
                 // next NPER tick (soft state).
                 let (how, _) = self.send_routed(QUERY_ROUTE, node, Dest::Key(key), None);
                 let put = PendingEffect::LocationPut { stream: sid, source: node };
-                self.deliver(owner, put, how, now);
+                self.deliver(owner, &put, how, now);
             }
+        }
+        if !homed.is_empty() {
+            self.homed.insert(node, homed);
         }
 
         // Neighbor information exchange: one aggregated message to each ring
@@ -102,7 +102,7 @@ impl<R: ContentRouter> Cluster<R> {
                 // A parked response keeps the query's dissemination-time
                 // coverage tag (resolved when it is drained).
                 let late = PendingEffect::Notify { query: q.id, matches, at: now };
-                self.deliver(q.client, late, how, now);
+                self.deliver(q.client, &late, how, now);
             } else if how == Delivery::Now {
                 let mut coverage = self.query_coverage.get(&q.id).copied().unwrap_or(1.0);
                 if self.ring.partitioned() {
@@ -112,7 +112,7 @@ impl<R: ContentRouter> Cluster<R> {
                     let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
                     coverage = coverage.min(reachable_fraction(&self.ring, node, lo, hi));
                 }
-                self.push_matches(q.id, matches, now, coverage);
+                self.push_matches(q.id, &matches, now, coverage);
             }
         }
 
@@ -145,7 +145,7 @@ impl<R: ContentRouter> Cluster<R> {
             );
             let alert = q.alert.is_some_and(|a| a.triggered(value));
             let push = PendingEffect::IpResult { query: q.id, value, alert, at: now };
-            self.deliver(q.client, push, how, now);
+            self.deliver(q.client, &push, how, now);
         }
     }
 
@@ -153,12 +153,12 @@ impl<R: ContentRouter> Cluster<R> {
     pub(super) fn push_matches(
         &mut self,
         query: QueryId,
-        matches: Vec<StreamId>,
+        matches: &[StreamId],
         at: SimTime,
         coverage: f64,
     ) {
         let entry = self.notifications.entry(query).or_default();
-        for stream in matches {
+        for &stream in matches {
             entry.push(MatchNotification { query, stream, at, coverage });
         }
     }
@@ -322,7 +322,7 @@ impl<R: ContentRouter> Cluster<R> {
         // the client misses this period's answer; the next cycle (after
         // heal) re-collects and resends.
         let how = self.send_hop(MsgClass::AggNotify, root, query.client);
-        self.deliver(query.client, PendingEffect::AggregateNotify(Box::new(note)), how, now);
+        self.deliver(query.client, &PendingEffect::AggregateNotify(Box::new(note)), how, now);
     }
 }
 

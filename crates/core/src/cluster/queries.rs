@@ -4,7 +4,7 @@
 use super::send::{Dest, QUERY_RANGE, QUERY_ROUTE, RESPONSE_ROUTE};
 use super::{Cluster, QueryRuntime};
 use crate::aggregate::{AggregateQuery, AggregateRuntime, AggregateSpec};
-use crate::mapping::{radius_key_range, stream_key};
+use crate::mapping::radius_key_range;
 use crate::query::{InnerProductQuery, QueryId, SimilarityQuery, StreamId};
 use crate::reliability::PendingEffect;
 use dsi_chord::{reachable_fraction, ChordId, ContentRouter};
@@ -63,7 +63,7 @@ impl<R: ContentRouter> Cluster<R> {
         // query is still registered (the client owns it) but no node
         // subscribed: responses carry coverage 0 until a repair round heals
         // the range.
-        self.deliver_range(&sent, now, || PendingEffect::SubscribeSimilarity(q.clone()));
+        self.deliver_range(&sent, now, &PendingEffect::SubscribeSimilarity(q.clone()));
         self.queries.insert(id, QueryRuntime::Similarity(q));
         id
     }
@@ -117,7 +117,7 @@ impl<R: ContentRouter> Cluster<R> {
         // coverage 0 until repair rounds install sketches. A late replica
         // installation starts counting when its node drains it.
         self.aggregates.push(AggregateRuntime { query: q, replicas: Vec::new() });
-        self.deliver_range(&sent, now, || PendingEffect::SubscribeAggregate { query: id });
+        self.deliver_range(&sent, now, &PendingEffect::SubscribeAggregate { query: id });
         id
     }
 
@@ -197,7 +197,7 @@ impl<R: ContentRouter> Cluster<R> {
         let (how, _) =
             self.send_routed(QUERY_ROUTE, client, Dest::Node(source), Some(InputEvent::Query));
         self.record_query_coverage(id, if how.arrived() { 1.0 } else { 0.0 });
-        self.deliver(source, PendingEffect::SubscribeInnerProduct(q.clone()), how, now);
+        self.deliver(source, &PendingEffect::SubscribeInnerProduct(q.clone()), how, now);
         self.queries.insert(id, QueryRuntime::InnerProduct(q));
         id
     }
@@ -208,7 +208,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// since crashed (the stream is silent until re-homed), or either leg
     /// exhausted its retry budget — client-side all indistinguishable.
     fn locate(&mut self, client: ChordId, stream: StreamId) -> Option<ChordId> {
-        let key = stream_key(self.space, &self.streams[stream as usize].name);
+        let key = self.streams[stream as usize].key;
         let (get, owner) = self.send_routed(QUERY_ROUTE, client, Dest::Key(key), None);
         if !get.arrived() {
             return None;

@@ -47,7 +47,7 @@
 //!    query's dissemination-time coverage (see `notify_cycle`).
 
 use super::Cluster;
-use crate::mapping::stream_key;
+use crate::aggregate::AggregateNotification;
 use crate::query::{QueryId, StreamId};
 use crate::reliability::{DeliveryVerdict, PendingDelivery, PendingEffect, ReliabilityState};
 use dsi_chord::{
@@ -230,7 +230,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// runs — the route is billed and traced, never judged.
     pub(super) fn put_location_unjudged(&mut self, stream: StreamId) {
         let s = &self.streams[stream as usize];
-        let (home, key) = (s.home, stream_key(self.space, &s.name));
+        let (home, key) = (s.home, s.key);
         let lookup = self.ring.route(home, key);
         self.charge_route(QUERY_ROUTE, &lookup.path, None);
         self.node_mut(lookup.owner).location_put(stream, home);
@@ -313,7 +313,7 @@ impl<R: ContentRouter> Cluster<R> {
         let RangeClasses { route: RouteClasses { base, transit }, forward, .. } = *classes;
         self.metrics.record_route(base, transit, &plan.route_path);
         self.metrics.record_hops(base, plan.route_hops);
-        for (from, to) in plan.forward_edges() {
+        for (from, to) in plan.iter_forward_edges() {
             self.metrics.record_message(forward, from, to);
         }
         for d in plan.deliveries.iter().filter(|d| d.node != plan.entry) {
@@ -330,28 +330,28 @@ impl<R: ContentRouter> Cluster<R> {
         }
     }
 
-    /// Applies (or parks) one copy of `effect` at every member a range send
-    /// reached.
+    /// Applies (or parks) `effect` at every member a range send reached.
     pub(super) fn deliver_range(
         &mut self,
         sent: &RangeDelivery,
         now: SimTime,
-        mut effect: impl FnMut() -> PendingEffect,
+        effect: &PendingEffect,
     ) {
         let Some(plan) = &sent.plan else { return };
         for d in &plan.deliveries {
             let how = if sent.late.contains(&d.node) { Delivery::Late } else { Delivery::Now };
-            self.deliver(d.node, effect(), how, now);
+            self.deliver(d.node, effect, how, now);
         }
     }
 
     /// Applies `effect` at `to` if the message carrying it arrived now, or
-    /// parks it for `to`'s next notify cycle if it arrived late.
+    /// parks a copy for `to`'s next notify cycle if it arrived late — the
+    /// only place an effect is cloned.
     #[inline]
     pub(super) fn deliver(
         &mut self,
         to: ChordId,
-        effect: PendingEffect,
+        effect: &PendingEffect,
         how: Delivery,
         now: SimTime,
     ) {
@@ -359,24 +359,30 @@ impl<R: ContentRouter> Cluster<R> {
             Delivery::Now => self.apply(to, effect, now),
             Delivery::Late => {
                 let due = now + self.cfg.workload.nper_ms;
-                self.pending.push(PendingDelivery { due, to, effect });
+                self.pending.push(PendingDelivery { due, to, effect: effect.clone() });
             }
             Delivery::Dropped => {}
         }
     }
 
-    /// The receiver-side state change of one delivered message (inlined, so
-    /// a sender's freshly built effect is matched away at compile time).
+    /// The receiver-side state change of one delivered message. The effect
+    /// is borrowed: one message fans out to many receivers, and each copies
+    /// out only what it keeps (inlined, so a sender's freshly built effect
+    /// is matched away at compile time).
     #[inline]
-    pub(super) fn apply(&mut self, to: ChordId, effect: PendingEffect, now: SimTime) {
+    pub(super) fn apply(&mut self, to: ChordId, effect: &PendingEffect, now: SimTime) {
         match effect {
-            PendingEffect::StoreMbr(rec) => self.node_mut(to).store_mbr(rec),
-            PendingEffect::SubscribeSimilarity(q) => self.node_mut(to).subscribe_similarity(q),
-            PendingEffect::SubscribeInnerProduct(q) => self.node_mut(to).subscribe_inner_product(q),
-            PendingEffect::LocationPut { stream, source } => {
+            PendingEffect::StoreMbr(rec) => self.node_mut(to).store_mbr_ref(rec),
+            PendingEffect::SubscribeSimilarity(q) => {
+                self.node_mut(to).subscribe_similarity(q.clone());
+            }
+            PendingEffect::SubscribeInnerProduct(q) => {
+                self.node_mut(to).subscribe_inner_product(q.clone());
+            }
+            &PendingEffect::LocationPut { stream, source } => {
                 self.node_mut(to).location_put(stream, source);
             }
-            PendingEffect::SubscribeAggregate { query } => {
+            &PendingEffect::SubscribeAggregate { query } => {
                 // A replica starts counting when it is installed (it missed
                 // everything before); one the node already holds is a dedup.
                 if let Some(a) = self.aggregates.iter_mut().find(|a| a.query.id == query) {
@@ -387,13 +393,16 @@ impl<R: ContentRouter> Cluster<R> {
                 }
             }
             PendingEffect::AggregateNotify(note) => {
-                self.aggregate_notifications.entry(note.query).or_default().push(*note);
+                self.aggregate_notifications
+                    .entry(note.query)
+                    .or_default()
+                    .push(AggregateNotification::clone(note));
             }
             PendingEffect::Notify { query, matches, at } => {
-                let coverage = self.query_coverage.get(&query).copied().unwrap_or(1.0);
-                self.push_matches(query, matches, at, coverage);
+                let coverage = self.query_coverage.get(query).copied().unwrap_or(1.0);
+                self.push_matches(*query, matches, *at, coverage);
             }
-            PendingEffect::IpResult { query, value, alert, at } => {
+            &PendingEffect::IpResult { query, value, alert, at } => {
                 self.ip_results.entry(query).or_default().push((at, value));
                 if alert {
                     self.ip_alerts.entry(query).or_default().push((at, value));
@@ -415,7 +424,7 @@ impl<R: ContentRouter> Cluster<R> {
         self.pending = rest;
         for p in due {
             if self.still_wanted(node, &p.effect, now) {
-                self.apply(node, p.effect, now);
+                self.apply(node, &p.effect, now);
             }
         }
     }
@@ -600,6 +609,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn charge_plan_bills_exactly_the_plans_forward_edges() {
+        use dsi_chord::RangeStrategy::{Bidirectional, Sequential};
+        for strategy in [Sequential, Bidirectional] {
+            for degraded in [false, true] {
+                let cell = format!("{strategy:?}, degraded: {degraded}");
+                let mut c = small_cluster(12);
+                c.cfg.strategy = strategy;
+                if degraded {
+                    // Only forwards can fail, and most do: the plan routes
+                    // around the members it could not reach.
+                    let lossy =
+                        FaultPlan::NONE.with_class(MsgClass::MbrInternal, spec(0.8, 0.0, 0.0));
+                    c.set_fault_plan(lossy, 11);
+                }
+                c.start_measurement();
+                let a = c.node_id(0);
+                let sent = c.send_range(&MBR_RANGE, a, c.space.add(a, 1), a, SimTime::ZERO);
+                let plan = sent.plan.expect("the entry route cannot fail");
+                assert_eq!(plan.deliveries.len() < 12, degraded, "{cell}: {plan:?}");
+                assert!(plan.deliveries.len() > 2, "{cell}: {plan:?}");
+
+                let edges = plan.forward_edges();
+                assert_eq!(c.metrics().total(MsgClass::MbrInternal), edges.len() as u64, "{cell}");
+                // Per node: one count per route hop and per forward edge it
+                // sends or receives, and nothing else.
+                let hops = plan.route_path.windows(2).map(|w| (w[0], w[1]));
+                let billed: Vec<(ChordId, ChordId)> = hops.chain(edges).collect();
+                for &n in c.node_ids() {
+                    let expect = billed.iter().filter(|&&(from, _)| from == n).count()
+                        + billed.iter().filter(|&&(_, to)| to == n).count();
+                    assert_eq!(
+                        c.metrics().node_message_count(n),
+                        expect as u64,
+                        "{cell}: node {n}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The five ways a message can fare, crossed with the three send shapes
     /// below: the seam's whole contract in one table.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -648,7 +698,7 @@ mod tests {
                 let sent_to: Vec<ChordId> = match shape {
                     Shape::Hop => {
                         let how = c.send_hop(MsgClass::AggNotify, a, b);
-                        c.deliver(b, put, how, now);
+                        c.deliver(b, &put, how, now);
                         vec![b]
                     }
                     Shape::Routed => {
@@ -658,13 +708,13 @@ mod tests {
                             Dest::Node(b),
                             Some(InputEvent::Response),
                         );
-                        c.deliver(b, put, how, now);
+                        c.deliver(b, &put, how, now);
                         vec![b]
                     }
                     Shape::Range => {
                         // The full circle: every node covers part of it.
                         let sent = c.send_range(&QUERY_RANGE, a, c.space.add(a, 1), a, now);
-                        c.deliver_range(&sent, now, || put.clone());
+                        c.deliver_range(&sent, now, &put);
                         let to = sent.plan.as_ref().map_or(Vec::new(), |plan| plan.nodes());
                         assert_eq!(sent.coverage.is_some(), arm != Arm::Disarmed, "{cell}");
                         to

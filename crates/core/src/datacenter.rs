@@ -93,9 +93,15 @@ impl DataCenter {
     /// Stores an MBR replica. Expired entries for the same batch are left to
     /// the periodic purge (the paper expires by life span, not by version).
     pub fn store_mbr(&mut self, stored: StoredMbr) {
+        self.store_mbr_ref(&stored);
+    }
+
+    /// [`DataCenter::store_mbr`] from a borrowed record: the columns copy
+    /// the corners out, so one emitted summary serves every replica.
+    pub(crate) fn store_mbr_ref(&mut self, stored: &StoredMbr) {
         let (low, high) = extent0(&stored.mbr);
         note_expiry(&mut self.next_expiry, stored.expires);
-        self.store.push_stored(&stored);
+        self.store.push_stored(stored);
         self.mbr_index.insert(sortable_key(low, high), (self.store.len() - 1) as u32);
         self.peak_mbrs = self.peak_mbrs.max(self.store.len());
     }

@@ -11,22 +11,40 @@
 //! below `PARALLEL_INGEST_MIN` (32) and the per-value `post_value` loop.
 //! The parallel path spawns scoped threads, which allocate by design.
 //!
-//! Kept as its own integration test so the global allocator and the
-//! single-threaded measurement don't interfere with any other suite.
+//! An *emitting* tick does allocate — the emitted box, the routed path, the
+//! multicast plan, and now and then a receiving store's column growing —
+//! but never once per stored replica: every covering node's columns copy
+//! the corners out of the one borrowed record (DESIGN.md §14, the emission
+//! allocation budget).
+//!
+//! Kept as its own integration test so the global allocator doesn't
+//! interfere with any other suite; allocations are counted per thread, so
+//! the two tests here don't interfere with each other either.
 
 use dsi_core::aggregate::{AggregateKind, AggregateSpec};
 use dsi_core::{Cluster, ClusterConfig};
 use dsi_simnet::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so the tests of this
+    /// file (each measuring on its own test thread) cannot disturb each
+    /// other; const-initialised and without a destructor, so touching it
+    /// from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -35,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
@@ -49,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Deterministic pseudo-value for (stream, tick) without any rng.
@@ -149,5 +167,57 @@ fn steady_state_ingest_is_allocation_free() {
     assert_eq!(
         batch_allocs, 0,
         "inline ingest_batch steady state must not allocate ({batch_allocs} allocations in 64 ticks)"
+    );
+}
+
+#[test]
+fn emissions_allocate_per_message_not_per_replica() {
+    const NODES: usize = 256;
+    const STREAMS: u32 = 8;
+
+    let mut cfg = ClusterConfig::new(NODES);
+    cfg.workload.window_len = 16;
+    // Eight summaries per MBR and no width bound: z-normalised features
+    // rotate in phase, so the boxes are wide and each covers tens of nodes.
+    cfg.workload.mbr_batch = 8;
+    cfg.workload.mbr_max_width = None;
+    let mut cluster = Cluster::new(cfg);
+    for i in 0..STREAMS {
+        cluster.register_stream(&format!("fan-{i}"), i as usize % NODES);
+    }
+
+    // Emits through `post_value` (the inline path, on this thread) until
+    // `emissions` MBRs shipped; returns (allocations, deliveries).
+    let mut tick = 0u64;
+    let mut run = |cluster: &mut Cluster, emissions: u64| {
+        let (mut shipped, mut deliveries) = (0u64, 0u64);
+        let before = allocation_count();
+        while shipped < emissions {
+            let now = SimTime::from_ms(tick * 100);
+            for s in 0..STREAMS {
+                if let Some(plan) = cluster.post_value(s, value(s, tick), now) {
+                    shipped += 1;
+                    deliveries += plan.deliveries.len() as u64;
+                }
+            }
+            tick += 1;
+        }
+        (allocation_count() - before, shipped, deliveries)
+    };
+
+    // Warm-up: windows fill, and every node's store columns grow past their
+    // first few doublings.
+    run(&mut cluster, 1_000);
+    let (allocs, shipped, deliveries) = run(&mut cluster, 2_000);
+    let per_emission = allocs as f64 / shipped as f64;
+    let fan_out = deliveries as f64 / shipped as f64;
+    assert!(fan_out > 16.0, "the configuration must fan out widely, got {fan_out:.1} per emission");
+    // What is left: the box, the path, the plan, and the amortised growth of
+    // the receivers' columns and index runs (about 19 at a fan-out of 40).
+    // Two corner `Vec`s per stored copy alone would be 2 x fan-out on top.
+    assert!(
+        per_emission < fan_out,
+        "{per_emission:.1} allocations per emission at {fan_out:.1} deliveries per emission: \
+         emission cost must not scale with the replica count"
     );
 }

@@ -7,6 +7,7 @@
 //! * **responsiveness** — overlay hops a message traverses before being
 //!   processed (Fig. 8).
 
+use crate::nodehash::NodeIdHash;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -133,8 +134,8 @@ impl InputEvent {
 /// Mutable measurement state, filled in by the simulation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Metrics {
-    sent: HashMap<u64, [u64; NUM_CLASSES]>,
-    received: HashMap<u64, [u64; NUM_CLASSES]>,
+    sent: HashMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
+    received: HashMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
     totals: [u64; NUM_CLASSES],
     hop_sum: [u64; NUM_CLASSES],
     hop_count: [u64; NUM_CLASSES],
