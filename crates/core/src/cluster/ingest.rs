@@ -11,7 +11,7 @@ use crate::query::StreamId;
 use crate::reliability::PendingEffect;
 use dsi_chord::{ChordId, ContentRouter, MulticastPlan};
 use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, SummaryScratch};
-use dsi_simnet::{NodeIdHash, SimTime};
+use dsi_simnet::SimTime;
 use std::collections::HashMap;
 
 /// Batches smaller than this are summarized inline: thread-spawn overhead
@@ -45,7 +45,7 @@ pub(crate) fn worker_count(cap: usize) -> usize {
 /// own window keeps sliding but ships nothing.
 #[inline(always)]
 fn summarize_one(
-    nodes: &HashMap<ChordId, DataCenter, NodeIdHash>,
+    nodes: &HashMap<ChordId, DataCenter>,
     s: &mut StreamRuntime,
     value: f64,
     scratch: &mut SummaryScratch,
@@ -75,7 +75,7 @@ fn store_last_feature(s: &mut StreamRuntime, scratch: &SummaryScratch) {
 /// Worker body for [`Cluster::ingest_batch`]'s parallel path: one private
 /// scratch per worker, then [`summarize_one`] per task.
 fn summarize_chunk(
-    nodes: &HashMap<ChordId, DataCenter, NodeIdHash>,
+    nodes: &HashMap<ChordId, DataCenter>,
     tasks: &mut [(&mut StreamRuntime, f64)],
     emitted: &mut [Option<Mbr>],
 ) {

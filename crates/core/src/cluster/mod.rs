@@ -31,7 +31,7 @@ use crate::query::{
 use crate::reliability::{PendingDelivery, ReliabilityState};
 use dsi_chord::{BuildRouter, ChordId, ContentRouter, IdSpace, RangeStrategy, Ring};
 use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, SummaryScratch};
-use dsi_simnet::{FaultPlan, Metrics, NodeIdHash, SimTime};
+use dsi_simnet::{FaultPlan, Metrics, SimTime};
 use dsi_streamgen::WorkloadConfig;
 use dsi_trace::Tracer;
 use std::collections::HashMap;
@@ -110,13 +110,13 @@ pub struct Cluster<R: ContentRouter = Ring> {
     cfg: ClusterConfig,
     space: IdSpace,
     ring: R,
-    nodes: HashMap<ChordId, DataCenter, NodeIdHash>,
+    nodes: HashMap<ChordId, DataCenter>,
     node_order: Vec<ChordId>,
     streams: Vec<StreamRuntime>,
     /// Streams per home data center, ascending id: the notify cycle's
     /// location refresh reads its node's list instead of scanning every
     /// stream. A crashed home keeps its list until its streams are re-homed.
-    homed: HashMap<ChordId, Vec<StreamId>, NodeIdHash>,
+    homed: HashMap<ChordId, Vec<StreamId>>,
     queries: HashMap<QueryId, QueryRuntime>,
     /// Live aggregate queries with their per-node replica sketches, in
     /// posting (= id) order. Empty unless the driver posts aggregate
@@ -231,7 +231,7 @@ impl<R: BuildRouter> Cluster<R> {
             nodes,
             node_order: ids,
             streams: Vec::new(),
-            homed: HashMap::default(),
+            homed: HashMap::new(),
             queries: HashMap::new(),
             aggregates: Vec::new(),
             aggregate_notifications: HashMap::new(),

@@ -13,9 +13,8 @@
 //!   and the [`engine::DelayQueue`] re-delivery pen;
 //! * [`latency::LatencyModel`] — configurable per-hop delay distributions;
 //! * [`metrics`] — per-node load components (Fig. 6), per-event message
-//!   overhead (Fig. 7) and hop counts (Fig. 8);
-//! * [`nodehash`] — the cheap hasher of node-keyed tables on the
-//!   per-message path.
+//!   overhead (Fig. 7) and hop counts (Fig. 8), its per-node counters
+//!   keyed through the private `nodehash` hasher.
 
 #![warn(missing_docs)]
 // Crate-level override on top of the shared [workspace.lints] policy: the
@@ -29,7 +28,7 @@ pub mod faults;
 pub mod latency;
 pub mod metrics;
 pub mod net;
-pub mod nodehash;
+mod nodehash;
 pub mod poisson;
 pub mod time;
 
@@ -38,6 +37,5 @@ pub use faults::{FaultOutcome, FaultPlan, FaultSpec, PartitionPlan};
 pub use latency::LatencyModel;
 pub use metrics::{Histogram, InputEvent, Metrics, MsgClass, NUM_CLASSES};
 pub use net::{delivery_delay_ms, path_delay_ms, HOP_DELAY_MS};
-pub use nodehash::NodeIdHash;
 pub use poisson::PoissonArrivals;
 pub use time::SimTime;

@@ -1,7 +1,6 @@
-//! The hasher of node-keyed tables on the per-message path.
+//! The hasher of the per-node message counters.
 //!
-//! `Metrics::{sent, received}` are probed twice per overlay message and the
-//! cluster's node table once per delivery and once per ingested item; with
+//! `Metrics::{sent, received}` are probed twice per overlay message; with
 //! the standard library's SipHash those probes cost more than the counters
 //! they guard. Node identifiers are SHA-1 output of labels this program
 //! chooses (never keys an outside party could craft to collide), so one
