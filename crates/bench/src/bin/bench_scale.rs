@@ -6,17 +6,24 @@
 //! against the SoA summary store + sortable-summary index, reporting:
 //!
 //! 1. stream registration throughput;
-//! 2. batch-ingest throughput (`Cluster::ingest_batch`, items/sec) across
-//!    the warm-up and emitting phases, plus emitted-MBR volume;
+//! 2. batch-ingest throughput (`Cluster::ingest_batch_into` with one
+//!    reused emission buffer, items/sec) across the warm-up and emitting
+//!    phases, plus emitted-MBR volume;
 //! 3. per-node load-distribution statistics over stored summaries —
 //!    max, mean, max/mean and Gini (reusing `dsi_core::load`) — the
 //!    Fig. 7–9 load-balance lens at 100x the paper's scale;
 //! 4. indexed query throughput against the biggest shard, with the
 //!    brute-force linear scan as the reference (speedup).
 //!
-//! `--quick` / `DSI_QUICK=1` shrinks the matrix for CI smoke; the committed
+//! The run is also the repo's one bench guard: every cell's *selective*
+//! indexed-over-linear speedup must clear a floor ([`floor_verdict`]), or
+//! the process exits 1 after writing its report. The ratio is taken inside
+//! one run, so it holds on any host. The dense lane is reported and not
+//! gated.
+//!
+//! `--quick` shrinks the matrix for CI smoke; the committed
 //! `BENCH_scale.json` comes from a full run. Override the output path with
-//! `DSI_BENCH_OUT`. The worker axis honours `DSI_WORKERS`.
+//! `DSI_BENCH_OUT`. The worker axis is 1 plus the host's parallelism.
 
 use dsi_bench::quick_mode;
 use dsi_core::{gini, Cluster, ClusterConfig, SimilarityKind, SimilarityQuery};
@@ -24,7 +31,27 @@ use dsi_dsp::{Complex64, FeatureVector, Normalization};
 use dsi_simnet::SimTime;
 use serde_json::Value;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
+
+/// Minimum indexed-over-linear speedup of the selective query lane: the
+/// sortable index earning its keep over the scan it replaces.
+const MIN_SELECTIVE_SPEEDUP: f64 = 8.0;
+/// `--quick` floor: the smoke shards hold several times fewer MBRs, and the
+/// index's advantage over brute force grows with the stored set.
+const MIN_SELECTIVE_SPEEDUP_QUICK: f64 = 4.0;
+
+/// The guard's whole decision: `selective_speedup` (the lowest over the
+/// cells of one run) against the floor for that kind of run.
+fn floor_verdict(quick: bool, selective_speedup: f64) -> Result<(), String> {
+    let floor = if quick { MIN_SELECTIVE_SPEEDUP_QUICK } else { MIN_SELECTIVE_SPEEDUP };
+    if selective_speedup < floor {
+        return Err(format!(
+            "query_hottest_shard.selective.speedup {selective_speedup:.2}x is below the {floor}x floor"
+        ));
+    }
+    Ok(())
+}
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -38,7 +65,7 @@ fn u64v(x: u64) -> Value {
     Value::U64(x)
 }
 
-/// Deterministic xorshift64* generator (same family as `bench_baseline`).
+/// Deterministic xorshift64* generator.
 struct XorShift(u64);
 
 impl XorShift {
@@ -72,8 +99,9 @@ fn load_stats(loads: &[u64]) -> Value {
     ])
 }
 
-/// One (nodes, streams, workers) cell of the sweep.
-fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> Value {
+/// One (nodes, streams, workers) cell of the sweep: its report row and its
+/// selective-lane speedup.
+fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> (Value, f64) {
     const WINDOW: usize = 16;
     const NUM_COEFFS: usize = 2;
     const MBR_BATCH: usize = 4;
@@ -109,6 +137,7 @@ fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> Value {
     let levels: Vec<f64> = (0..num_streams).map(|_| 5.0 + rng.unit() * 2.0).collect();
 
     let mut values: Vec<(u32, f64)> = (0..num_streams as u32).map(|s| (s, 0.0)).collect();
+    let mut emitted = Vec::new();
     let mut emitted_mbrs = 0u64;
     let t0 = Instant::now();
     for tick in 0..ticks {
@@ -116,7 +145,8 @@ fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> Value {
             slot.1 = levels[i] + (phases[i] + tick as f64 * 0.31).sin();
         }
         let now = SimTime::from_ms(tick * 100);
-        emitted_mbrs += cluster.ingest_batch(&values, now).len() as u64;
+        cluster.ingest_batch_into(&values, now, &mut emitted);
+        emitted_mbrs += emitted.len() as u64;
     }
     let ingest_s = t0.elapsed().as_secs_f64();
     let items = ticks * num_streams as u64;
@@ -196,18 +226,20 @@ fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> Value {
         let (lin_s, lin_c) = run(false);
         let (idx_s, idx_c) = run(true);
         assert_eq!(lin_c, idx_c, "indexed and linear scans must agree");
-        obj(vec![
+        let speedup = lin_s / idx_s;
+        let lane = obj(vec![
             ("queries", u64v(queries.len() as u64)),
             ("indexed_ops_per_sec", f64v(queries.len() as f64 / idx_s)),
             ("linear_ops_per_sec", f64v(queries.len() as f64 / lin_s)),
             ("candidates", u64v(idx_c as u64)),
-            ("speedup", f64v(lin_s / idx_s)),
-        ])
+            ("speedup", f64v(speedup)),
+        ]);
+        (lane, speedup)
     };
-    let q_selective = bench_queries(&selective);
-    let q_dense = bench_queries(&dense);
+    let (q_selective, selective_speedup) = bench_queries(&selective);
+    let (q_dense, _) = bench_queries(&dense);
 
-    obj(vec![
+    let row = obj(vec![
         ("virtual_nodes", u64v(num_nodes as u64)),
         ("streams", u64v(num_streams as u64)),
         ("workers", u64v(workers as u64)),
@@ -234,12 +266,12 @@ fn run_config(num_nodes: usize, num_streams: usize, workers: usize) -> Value {
                 ("dense", q_dense),
             ]),
         ),
-    ])
+    ]);
+    (row, selective_speedup)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let quick = quick_mode();
-    let saved_workers = std::env::var("DSI_WORKERS").ok();
     // nodes × streams matrix: the full sweep tops out at 10k virtual nodes
     // and 1M live streams (the ROADMAP scale target).
     let matrix: &[(usize, usize)] = if quick {
@@ -256,15 +288,13 @@ fn main() {
     }
 
     let mut configs = Vec::new();
+    let mut min_selective_speedup = f64::INFINITY;
     for &(nodes, streams) in matrix {
         for &workers in &worker_axis {
-            configs.push(run_config(nodes, streams, workers));
+            let (row, selective_speedup) = run_config(nodes, streams, workers);
+            configs.push(row);
+            min_selective_speedup = min_selective_speedup.min(selective_speedup);
         }
-    }
-    // Leave the environment as we found it for anything run after us.
-    match saved_workers {
-        Some(v) => std::env::set_var("DSI_WORKERS", v),
-        None => std::env::remove_var("DSI_WORKERS"),
     }
 
     let report = obj(vec![
@@ -280,4 +310,31 @@ fn main() {
     std::fs::write(&path, &rendered).expect("write BENCH_scale.json");
     println!("{rendered}");
     eprintln!("[written {path}]");
+
+    match floor_verdict(quick, min_selective_speedup) {
+        Ok(()) => {
+            eprintln!("[bench_scale] OK: lowest selective speedup {min_selective_speedup:.2}x");
+            ExitCode::SUCCESS
+        }
+        Err(why) => {
+            eprintln!("[bench_scale] FAIL: {why}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn floor_verdict_holds_each_kind_of_run_to_its_own_floor() {
+        assert!(floor_verdict(false, 8.0).is_ok());
+        assert!(floor_verdict(false, 7.99).is_err());
+        assert!(floor_verdict(true, 4.0).is_ok());
+        assert!(floor_verdict(true, 3.99).is_err());
+        // Between the floors the kind of run decides.
+        assert!(floor_verdict(true, 6.0).is_ok());
+        assert!(floor_verdict(false, 6.0).is_err());
+    }
 }

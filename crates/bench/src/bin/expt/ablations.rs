@@ -1,5 +1,5 @@
-//! Message-count ablations over the design choices DESIGN.md calls out.
-//! Run: `cargo run --release -p dsi-bench --bin expt_ablations [--quick]`
+//! `expt ablations`: message-count ablations over the design choices
+//! DESIGN.md calls out.
 //!
 //! * ζ (MBR batching factor): update traffic vs candidate precision (§IV-G);
 //! * MBR routing-width bound on/off;
@@ -8,7 +8,7 @@
 //!   routing (the DESIGN.md §5 substitution);
 //! * retained coefficients k: candidate precision vs summary size.
 
-use dsi_bench::{quick_mode, write_json};
+use dsi_bench::write_json;
 use dsi_chord::RangeStrategy;
 use dsi_core::{run_experiment, ExperimentConfig, SimilarityKind, SystemReport};
 
@@ -27,8 +27,7 @@ fn precision(r: &SystemReport) -> f64 {
     }
 }
 
-fn main() {
-    let quick = quick_mode();
+pub fn run(quick: bool) {
     let n = 200;
     let mut results: Vec<(String, SystemReport)> = Vec::new();
 

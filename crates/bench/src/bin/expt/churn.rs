@@ -1,5 +1,5 @@
-//! Throughput-under-churn curves, driven by the fault-injection harness.
-//! Run: `cargo run --release -p dsi-bench --bin churn_curves [--quick]`
+//! `expt churn`: throughput-under-churn curves, driven by the
+//! fault-injection harness.
 //!
 //! Sweeps the NPER message-fault level while seeded scenarios pound the
 //! cluster with churn, bursts and query storms, and reports sustained
@@ -21,8 +21,7 @@ struct CurvePoint {
     seeds: usize,
 }
 
-fn main() {
-    let quick = dsi_bench::quick_mode();
+pub fn run(quick: bool) {
     let seeds: Vec<u64> = if quick { (500..503).collect() } else { (500..508).collect() };
     let num_events = if quick { 60 } else { 150 };
 

@@ -1,5 +1,6 @@
 //! Regenerates the paper's tables and figures, one by name or all in
-//! sequence, and writes their JSON series under `results/`.
+//! sequence, and writes their JSON series under `results/`; three further
+//! names run our own experiments, which `all` leaves out.
 //! Run: `cargo run --release -p dsi-bench --bin expt -- <name>|all [--quick]`
 //!
 //! | name | regenerates |
@@ -11,9 +12,17 @@
 //! | `fig6b` | Fig. 6(b): distribution of load across nodes at N = 200 |
 //! | `fig7` | Fig. 7(a)/(b): message overhead per event, radius 0.1 / 0.2 |
 //! | `fig8` | Fig. 8: average hops per message type vs node count |
+//! | `scenarios` | the Fig. 2 / 3(a) / 4 walk-throughs on the example ring |
+//! | `ablations` | message-count ablations (`results/ablations.json`) |
+//! | `churn` | throughput under churn and faults (`results/churn_curves.json`) |
+
+mod ablations;
+mod churn;
+mod scenarios;
 
 use dsi_bench::{experiments, quick_mode, write_json};
 
+/// What `all` runs: the paper's tables and figures.
 const NAMES: [&str; 7] = ["table1", "fig1", "fig3b", "fig6a", "fig6b", "fig7", "fig8"];
 
 /// Runs the experiment called `name`: prints its text followed by `end`,
@@ -48,6 +57,9 @@ fn run(name: &str, quick: bool, end: &str) -> bool {
             print!("{text}{end}");
             write_json("fig8.json", &reports);
         }
+        "scenarios" => scenarios::run(),
+        "ablations" => ablations::run(quick),
+        "churn" => churn::run(quick),
         _ => return false,
     }
     true
@@ -66,7 +78,7 @@ fn main() {
         }
         Some(name) if run(name, quick, "") => {}
         _ => {
-            eprintln!("usage: expt <{}|all> [--quick]", NAMES.join("|"));
+            eprintln!("usage: expt <{}|all|scenarios|ablations|churn> [--quick]", NAMES.join("|"));
             std::process::exit(2);
         }
     }

@@ -1,13 +1,12 @@
-//! Walks through the paper's illustrative scenarios — Fig. 2 (content-based
-//! routing of a summary), Fig. 3(a) (similarity-query range lookup) and
-//! Fig. 4 (content-based routing of an MBR) — on the exact m = 5 example
-//! ring, printing each step next to the paper's values.
-//! Run: `cargo run -p dsi-bench --bin expt_scenarios`
+//! `expt scenarios`: walks through the paper's illustrative scenarios —
+//! Fig. 2 (content-based routing of a summary), Fig. 3(a) (similarity-query
+//! range lookup) and Fig. 4 (content-based routing of an MBR) — on the exact
+//! m = 5 example ring, printing each step next to the paper's values.
 
 use dsi_chord::{multicast, IdSpace, RangeStrategy, Ring};
 use dsi_core::{feature_to_key, interval_key_range, radius_key_range};
 
-fn main() {
+pub fn run() {
     let space = IdSpace::new(5);
     let ring = Ring::with_nodes(space, [1, 8, 11, 14, 20, 23]);
     println!("example ring: m = 5, nodes {{N1, N8, N11, N14, N20, N23}}\n");

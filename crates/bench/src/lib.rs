@@ -1,19 +1,18 @@
 //! # dsi-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§V) from
-//! the simulator, and hosts the Criterion micro-benchmarks and ablations.
-//!
-//! The `expt` binary is a thin wrapper over [`experiments`]; results are
-//! printed as the paper's rows/series and written as JSON under `results/`.
+//! the simulator. The `expt` binary is a thin wrapper over [`experiments`];
+//! results are printed as the paper's rows/series and written as JSON under
+//! `results/`. The two measurement binaries sit beside it: `dsi_benchmark`
+//! (the comparator `BENCHMARK.json` declares) and `bench_scale` (the scale
+//! sweep behind `BENCH_scale.json`).
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod sweep;
 
-pub use sweep::{
-    parallel_experiments, parallel_map, parallel_reports, parallel_seed_reports, worker_count,
-};
+pub use sweep::parallel_reports;
 
 use std::path::PathBuf;
 
@@ -33,8 +32,7 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
     println!("[written {}]", path.display());
 }
 
-/// True when the caller asked for a fast, reduced-accuracy run
-/// (`--quick` argument or `DSI_QUICK=1`).
+/// True when the caller asked for a fast, reduced-accuracy run (`--quick`).
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var("DSI_QUICK").as_deref() == Ok("1")
+    std::env::args().any(|a| a == "--quick")
 }

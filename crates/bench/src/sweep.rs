@@ -15,7 +15,7 @@ use std::thread;
 
 /// Worker count for a sweep: `DSI_WORKERS` if set, else host parallelism,
 /// clamped to `[1, cap]`.
-pub fn worker_count(cap: usize) -> usize {
+fn worker_count(cap: usize) -> usize {
     std::env::var("DSI_WORKERS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -66,22 +66,6 @@ where
     parallel_map(node_counts, |&n| run_experiment(&make_cfg(n)))
 }
 
-/// Runs one experiment per seed, in parallel, returning reports in input
-/// order — the multi-seed driver behind confidence intervals and the
-/// bench-baseline wall-clock comparison.
-pub fn parallel_seed_reports<F>(seeds: &[u64], make_cfg: F) -> Vec<SystemReport>
-where
-    F: Fn(u64) -> ExperimentConfig + Sync,
-{
-    parallel_map(seeds, |&s| run_experiment(&make_cfg(s)))
-}
-
-/// Runs an arbitrary list of experiment configs (ablation sweeps), in
-/// parallel, returning reports in input order.
-pub fn parallel_experiments(cfgs: &[ExperimentConfig]) -> Vec<SystemReport> {
-    parallel_map(cfgs, run_experiment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +108,7 @@ mod tests {
         // More items than a typical core count, so the worker pool actually
         // multiplexes and the index-slotted merge is exercised.
         let seeds: Vec<u64> = (0..6).map(|i| 1000 + i * 37).collect();
-        let par = parallel_seed_reports(&seeds, seeded);
+        let par = parallel_map(&seeds, |&s| run_experiment(&seeded(s)));
         for (s, report) in seeds.iter().zip(par.iter()) {
             let seq = run_experiment(&seeded(*s));
             assert_eq!(

@@ -1,12 +1,10 @@
 //! The driver: walk the workspace, parse every `.rs` file, run the rules
 //! in two passes (pass 1 builds shared context such as the `MsgClass`
-//! table, pass 2 runs the rules), then apply allow markers and the
-//! baseline.
+//! table, pass 2 runs the rules), then apply allow markers.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::Baseline;
 use crate::rules::{self, Context, Violation};
 use crate::source::SourceFile;
 
@@ -21,12 +19,10 @@ const EXCLUDED: [&str; 3] = ["vendor/", "target/", "crates/lint/tests/fixtures"]
 /// Everything one lint run produced.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Violations not suppressed by a marker and not covered by the baseline.
+    /// Violations not suppressed by a marker.
     pub violations: Vec<Violation>,
     /// Violations suppressed by an allow marker.
     pub allowed: Vec<(Violation, String)>,
-    /// Violations covered by the baseline.
-    pub baselined: Vec<Violation>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Shared context from pass 1 (exposed for the self-test).
@@ -74,14 +70,14 @@ pub fn parse_workspace(root: &Path) -> Vec<SourceFile> {
         .collect()
 }
 
-/// Run the full lint over `root` with an optional baseline. Also reads
-/// the machine-readable oracle-count marker out of the workspace's
-/// DESIGN.md for the X02 doc-sync check.
-pub fn run(root: &Path, baseline: &Baseline) -> Outcome {
+/// Run the full lint over `root`. Also reads the machine-readable
+/// oracle-count marker out of the workspace's DESIGN.md for the X02
+/// doc-sync check.
+pub fn run(root: &Path) -> Outcome {
     let files = parse_workspace(root);
     let design_count =
         fs::read_to_string(root.join("DESIGN.md")).ok().as_deref().and_then(parse_oracle_count);
-    lint_files_with(&files, baseline, design_count)
+    lint_files_with(&files, design_count)
 }
 
 /// The count in a `dsilint: oracle-count = N` marker, if present.
@@ -93,16 +89,12 @@ pub fn parse_oracle_count(design: &str) -> Option<usize> {
 }
 
 /// Core two-pass lint over already-parsed files (fixture tests enter here).
-pub fn lint_files(files: &[SourceFile], baseline: &Baseline) -> Outcome {
-    lint_files_with(files, baseline, None)
+pub fn lint_files(files: &[SourceFile]) -> Outcome {
+    lint_files_with(files, None)
 }
 
 /// [`lint_files`] with the DESIGN.md oracle count threaded into pass 1.
-pub fn lint_files_with(
-    files: &[SourceFile],
-    baseline: &Baseline,
-    design_oracle_count: Option<usize>,
-) -> Outcome {
+pub fn lint_files_with(files: &[SourceFile], design_oracle_count: Option<usize>) -> Outcome {
     let mut context = Context::build(files);
     context.design_oracle_count = design_oracle_count;
     let mut out =
@@ -111,8 +103,6 @@ pub fn lint_files_with(
         for v in rules::run_all(&context, f) {
             if let Some(reason) = f.allow_reason(v.rule, v.line) {
                 out.allowed.push((v, reason.to_string()));
-            } else if baseline.covers(&v) {
-                out.baselined.push(v);
             } else {
                 out.violations.push(v);
             }
@@ -122,7 +112,6 @@ pub fn lint_files_with(
     let key = |v: &Violation| (v.file.clone(), v.line, v.rule);
     out.violations.sort_by_key(key);
     out.allowed.sort_by_key(|(v, _)| key(v));
-    out.baselined.sort_by_key(key);
     out
 }
 
@@ -146,11 +135,10 @@ pub fn render_text(outcome: &Outcome) -> String {
         out.push_str(&format!("  {id} {slug}: {count}\n"));
     }
     out.push_str(&format!(
-        "dsilint: {} file(s), {} violation(s), {} allowed, {} baselined\n",
+        "dsilint: {} file(s), {} violation(s), {} allowed\n",
         outcome.files_scanned,
         outcome.violations.len(),
-        outcome.allowed.len(),
-        outcome.baselined.len()
+        outcome.allowed.len()
     ));
     out
 }
@@ -182,10 +170,9 @@ pub fn render_json(outcome: &Outcome) -> String {
         out.push_str(&format!("\n    {}: {count}", json_str(&format!("{id} {slug}"))));
     }
     out.push_str(&format!(
-        "\n  }},\n  \"files_scanned\": {},\n  \"allowed\": {},\n  \"baselined\": {}\n}}\n",
+        "\n  }},\n  \"files_scanned\": {},\n  \"allowed\": {}\n}}\n",
         outcome.files_scanned,
-        outcome.allowed.len(),
-        outcome.baselined.len()
+        outcome.allowed.len()
     ));
     out
 }
@@ -252,25 +239,17 @@ mod tests {
     use crate::rules::D02;
 
     #[test]
-    fn lint_files_applies_markers_and_baseline() {
+    fn lint_files_applies_markers() {
         let bad = SourceFile::parse("crates/core/src/x.rs", "fn f() { let t = Instant::now(); }\n");
         let allowed = SourceFile::parse(
             "crates/core/src/y.rs",
             "fn f() { let t = Instant::now(); } // dsilint: allow(wall-clock-and-entropy, log only)\n",
         );
-        let out = lint_files(&[bad, allowed], &Baseline::default());
+        let out = lint_files(&[bad, allowed]);
         assert_eq!(out.violations.len(), 1);
         assert_eq!(out.violations[0].rule, D02);
         assert_eq!(out.violations[0].file, "crates/core/src/x.rs");
         assert_eq!(out.allowed.len(), 1);
-
-        // The same violation disappears once baselined.
-        let b = crate::baseline::from_violations(&out.violations, "2026-08-06");
-        let bad2 =
-            SourceFile::parse("crates/core/src/x.rs", "fn f() { let t = Instant::now(); }\n");
-        let out2 = lint_files(&[bad2], &b);
-        assert!(out2.violations.is_empty());
-        assert_eq!(out2.baselined.len(), 1);
     }
 
     #[test]
@@ -279,7 +258,7 @@ mod tests {
             "crates/core/src/x.rs",
             "fn f() { thread_rng(); }\nfn g() { Instant::now(); }\n",
         );
-        let out = lint_files(&[f], &Baseline::default());
+        let out = lint_files(&[f]);
         let text = render_text(&out);
         assert!(text.contains("  D02 wall-clock-and-entropy: 2"), "{text}");
         assert!(text.contains("  A01 hot-path-alloc: 0"), "{text}");
@@ -296,8 +275,6 @@ mod tests {
         let json = render_json(&out);
         assert!(json.contains("\"D02 wall-clock-and-entropy\": 2"), "{json}");
         assert!(json.contains("\"X02 oracle-table-sync\": 0"), "{json}");
-        // The JSON report parses with our own baseline-grade parser.
-        assert!(crate::baseline::Json::parse(&json).is_ok());
     }
 
     #[test]
@@ -306,7 +283,7 @@ mod tests {
             "crates/core/src/x.rs",
             "fn f() { thread_rng(); }\nfn g() { Instant::now(); }\n",
         );
-        let out = lint_files(&[f], &Baseline::default());
+        let out = lint_files(&[f]);
         let text = render_text(&out);
         let json = render_json(&out);
         assert!(text.contains("crates/core/src/x.rs:1"));

@@ -16,17 +16,14 @@
 //! * [`callgraph`] — nominal workspace call graph + reachability (the v2
 //!   multi-pass substrate);
 //! * [`rules`] — the seven rules (A01, D01, D02, R01, S01, X01, X02);
-//! * [`baseline`] — record/burn-down file for pre-existing violations;
 //! * [`engine`] — workspace walk, two-pass run, reports, `--fix-markers`.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
 pub mod source;
 
-pub use baseline::Baseline;
 pub use engine::{lint_files, lint_files_with, parse_workspace, run, Outcome};
 pub use rules::{Context, Violation};
 pub use source::SourceFile;

@@ -2,60 +2,39 @@
 //!
 //! ```text
 //! cargo run -p dsi-lint -- --check                      # CI gate
-//! cargo run -p dsi-lint -- --check --baseline results/lint_baseline.json
-//! cargo run -p dsi-lint -- --write-baseline results/lint_baseline.json
+//! cargo run -p dsi-lint -- --report results/lint_report.json
 //! cargo run -p dsi-lint -- --fix-markers                # insert TODO markers
-//! cargo run -p dsi-lint -- --max-baseline-age-days 14   # nightly burn-down
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations (or stale baseline entries under
-//! `--check`), 2 usage / IO error.
+//! Exit codes: 0 clean, 1 violations under `--check`, 2 usage / IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dsi_lint::baseline::{self, Baseline};
 use dsi_lint::engine;
 
 struct Opts {
     root: PathBuf,
     check: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     fix_markers: bool,
     report: Option<PathBuf>,
-    max_baseline_age_days: Option<i64>,
 }
 
 fn usage() -> &'static str {
     "dsi-lint: determinism & invariant linter\n\
      \n\
-     USAGE: dsi-lint [--root DIR] [--check] [--baseline FILE]\n\
-            [--write-baseline FILE] [--fix-markers] [--report FILE]\n\
-            [--max-baseline-age-days N]\n\
+     USAGE: dsi-lint [--root DIR] [--check] [--fix-markers] [--report FILE]\n\
      \n\
-       --root DIR                  workspace root (default: .)\n\
-       --check                     CI mode: exit 1 on unannotated violations\n\
-       --baseline FILE             ignore violations recorded in FILE\n\
-       --write-baseline FILE       record current violations into FILE\n\
-       --fix-markers               insert `// dsilint: allow(<rule>, TODO: justify)`\n\
-                                   scaffolding above each violation (TODO reasons\n\
-                                   do not suppress — finish them by hand)\n\
-       --report FILE               write a JSON violation report to FILE\n\
-       --max-baseline-age-days N   with --check: fail if any baseline entry\n\
-                                   is older than N days (nightly burn-down)\n"
+       --root DIR       workspace root (default: .)\n\
+       --check          CI mode: exit 1 on unannotated violations\n\
+       --fix-markers    insert `// dsilint: allow(<rule>, TODO: justify)`\n\
+                        scaffolding above each violation (TODO reasons\n\
+                        do not suppress — finish them by hand)\n\
+       --report FILE    write a JSON violation report to FILE\n"
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        root: PathBuf::from("."),
-        check: false,
-        baseline: None,
-        write_baseline: None,
-        fix_markers: false,
-        report: None,
-        max_baseline_age_days: None,
-    };
+    let mut o = Opts { root: PathBuf::from("."), check: false, fix_markers: false, report: None };
     let mut i = 0usize;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -65,37 +44,14 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match args[i].as_str() {
             "--root" => o.root = PathBuf::from(value(&mut i, "--root")?),
             "--check" => o.check = true,
-            "--baseline" => o.baseline = Some(PathBuf::from(value(&mut i, "--baseline")?)),
-            "--write-baseline" => {
-                o.write_baseline = Some(PathBuf::from(value(&mut i, "--write-baseline")?))
-            }
             "--fix-markers" => o.fix_markers = true,
             "--report" => o.report = Some(PathBuf::from(value(&mut i, "--report")?)),
-            "--max-baseline-age-days" => {
-                o.max_baseline_age_days = Some(
-                    value(&mut i, "--max-baseline-age-days")?
-                        .parse()
-                        .map_err(|_| "--max-baseline-age-days needs an integer".to_string())?,
-                )
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
     }
     Ok(o)
-}
-
-/// Today as days since the Unix epoch, from the system clock. The linter
-/// is a build tool, not simulation code: wall-clock here only stamps
-/// baseline entries and ages them for the burn-down check.
-fn today_days() -> i64 {
-    // dsilint: allow(wall-clock-and-entropy, build tool stamping baseline dates, not simulation code)
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
-    secs.div_euclid(86_400)
 }
 
 fn main() -> ExitCode {
@@ -111,27 +67,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            let full = if path.is_absolute() { path.clone() } else { opts.root.join(path) };
-            match std::fs::read_to_string(&full) {
-                Ok(text) => match Baseline::parse(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("dsi-lint: malformed baseline {}: {e}", full.display());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("dsi-lint: cannot read baseline {}: {e}", full.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => Baseline::default(),
-    };
-
-    let outcome = engine::run(&opts.root, &baseline);
+    let outcome = engine::run(&opts.root);
     print!("{}", engine::render_text(&outcome));
 
     if let Some(path) = &opts.report {
@@ -140,35 +76,6 @@ fn main() -> ExitCode {
             eprintln!("dsi-lint: cannot write report {}: {e}", full.display());
             return ExitCode::from(2);
         }
-    }
-
-    if let Some(path) = &opts.write_baseline {
-        let full = if path.is_absolute() { path.clone() } else { opts.root.join(path) };
-        let today = baseline::days_to_date(today_days());
-        let mut b = baseline::from_violations(&outcome.violations, &today);
-        // Keep still-covered old entries with their original dates so the
-        // burn-down clock doesn't reset on rewrite.
-        for old in &baseline.entries {
-            if let Some(e) = b
-                .entries
-                .iter_mut()
-                .find(|e| e.rule == old.rule && e.file == old.file && e.excerpt == old.excerpt)
-            {
-                e.introduced = old.introduced.clone();
-            }
-        }
-        b.entries.extend(outcome.baselined.iter().filter_map(|v| {
-            baseline
-                .entries
-                .iter()
-                .find(|e| e.rule == v.rule && e.file == v.file && e.excerpt == v.excerpt)
-                .cloned()
-        }));
-        if let Err(e) = std::fs::write(&full, b.emit()) {
-            eprintln!("dsi-lint: cannot write baseline {}: {e}", full.display());
-            return ExitCode::from(2);
-        }
-        println!("dsi-lint: wrote {} entr(ies) to {}", b.entries.len(), full.display());
     }
 
     if opts.fix_markers {
@@ -186,40 +93,9 @@ fn main() -> ExitCode {
         );
     }
 
-    if opts.check {
-        let mut failed = false;
-        if !outcome.violations.is_empty() {
-            eprintln!("dsi-lint: FAILED — {} unannotated violation(s)", outcome.violations.len());
-            failed = true;
-        }
-        let dead = baseline.dead(&outcome.baselined);
-        if !dead.is_empty() {
-            eprintln!(
-                "dsi-lint: FAILED — {} stale baseline entr(ies) match no current source line \
-                 (re-run --write-baseline to prune):",
-                dead.len()
-            );
-            for e in dead {
-                eprintln!("  {}:{} [{}] introduced {}", e.file, e.line, e.rule, e.introduced);
-            }
-            failed = true;
-        }
-        if let Some(max_age) = opts.max_baseline_age_days {
-            let stale = baseline.stale(today_days(), max_age);
-            if !stale.is_empty() {
-                eprintln!(
-                    "dsi-lint: FAILED — {} baseline entr(ies) older than {max_age} days:",
-                    stale.len()
-                );
-                for e in stale {
-                    eprintln!("  {}:{} [{}] introduced {}", e.file, e.line, e.rule, e.introduced);
-                }
-                failed = true;
-            }
-        }
-        if failed {
-            return ExitCode::from(1);
-        }
+    if opts.check && !outcome.violations.is_empty() {
+        eprintln!("dsi-lint: FAILED — {} unannotated violation(s)", outcome.violations.len());
+        return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }

@@ -11,7 +11,7 @@
 use crate::callgraph::Graph;
 use crate::source::SourceFile;
 
-/// Slugs, used in allow markers and baseline entries.
+/// Slugs, used in allow markers and reports.
 pub const A01: &str = "hot-path-alloc";
 pub const D01: &str = "unordered-iter";
 pub const D02: &str = "wall-clock-and-entropy";
@@ -34,7 +34,7 @@ pub const RULE_IDS: [(&str, &str); 7] = [
     ("X02", X02),
 ];
 
-/// One rule hit (before allow-marker / baseline filtering).
+/// One rule hit (before allow-marker filtering).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Rule slug.
@@ -45,7 +45,7 @@ pub struct Violation {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
-    /// Trimmed raw source of the offending line (baseline identity).
+    /// Trimmed raw source of the offending line.
     pub excerpt: String,
 }
 

@@ -4,7 +4,6 @@
 //! parsed under synthetic workspace paths because every rule is
 //! path-scoped.
 
-use dsi_lint::baseline::Baseline;
 use dsi_lint::engine::{lint_files, lint_files_with};
 use dsi_lint::rules::{A01, D01, D02, R01, S01, X01, X02};
 use dsi_lint::SourceFile;
@@ -18,7 +17,7 @@ fn fixture(name: &str, path: &str) -> SourceFile {
 
 /// Violations (rule, line) and allowed count for one fixture.
 fn lint(name: &str, path: &str) -> (Vec<(&'static str, usize)>, usize) {
-    let out = lint_files(&[fixture(name, path)], &Baseline::default());
+    let out = lint_files(&[fixture(name, path)]);
     (out.violations.iter().map(|v| (v.rule, v.line)).collect(), out.allowed.len())
 }
 
@@ -221,7 +220,7 @@ fn d01_sees_fields_declared_in_the_modules_mod_rs() {
     let user = "impl Cluster {\n    fn all(&self) -> Vec<&String> {\n        \
                 self.queries.values().collect()\n    }\n}\n";
     let sibling = SourceFile::parse("crates/core/src/cluster/notify.rs", user);
-    let out = lint_files(&[decl, sibling], &Baseline::default());
+    let out = lint_files(&[decl, sibling]);
     let hits: Vec<_> = out.violations.iter().map(|v| (v.rule, v.file.as_str(), v.line)).collect();
     assert_eq!(hits, vec![(D01, "crates/core/src/cluster/notify.rs", 3)]);
     // Outside that module the name means nothing.
@@ -230,7 +229,7 @@ fn d01_sees_fields_declared_in_the_modules_mod_rs() {
         "pub struct Cluster {\n    queries: HashMap<u64, String>,\n}\n",
     );
     let stranger = SourceFile::parse("crates/core/src/report.rs", user);
-    assert!(lint_files(&[decl, stranger], &Baseline::default()).violations.is_empty());
+    assert!(lint_files(&[decl, stranger]).violations.is_empty());
 }
 
 // ---------------------------------------------------------------- X01
@@ -268,10 +267,7 @@ fn a01_positive_flags_derived_clone_reached_from_post_value() {
 
 #[test]
 fn a01_positive_witness_chain_names_the_entry_point() {
-    let out = lint_files(
-        &[fixture("a01_positive.rs", "crates/core/src/cluster/ingest.rs")],
-        &Baseline::default(),
-    );
+    let out = lint_files(&[fixture("a01_positive.rs", "crates/core/src/cluster/ingest.rs")]);
     assert_eq!(out.violations.len(), 1);
     let msg = &out.violations[0].message;
     assert!(msg.contains("Cluster::post_value"), "witness chain missing from: {msg}");
@@ -378,26 +374,26 @@ fn x02_growth_marker_must_advance_with_the_registry() {
     // A ten-variant registry against a DESIGN.md marker still saying 9
     // (doc left behind) and one saying 10 (doc kept up).
     let f = fixture("x02_growth_negative.rs", "crates/faultsim/src/oracle.rs");
-    let out = lint_files_with(&[f], &Baseline::default(), Some(9));
+    let out = lint_files_with(&[f], Some(9));
     assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
     assert_eq!(out.violations[0].rule, X02);
     assert!(out.violations[0].message.contains("DESIGN.md advertises 9 oracles"));
 
     let f = fixture("x02_growth_negative.rs", "crates/faultsim/src/oracle.rs");
-    let out = lint_files_with(&[f], &Baseline::default(), Some(10));
+    let out = lint_files_with(&[f], Some(10));
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 }
 
 #[test]
 fn x02_design_marker_drift_is_flagged_at_the_enum() {
     let f = fixture("x02_negative.rs", "crates/faultsim/src/oracle.rs");
-    let out = lint_files_with(&[f], &Baseline::default(), Some(4));
+    let out = lint_files_with(&[f], Some(4));
     assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
     assert_eq!(out.violations[0].rule, X02);
     assert!(out.violations[0].message.contains("DESIGN.md advertises 4 oracles"));
 
     let f = fixture("x02_negative.rs", "crates/faultsim/src/oracle.rs");
-    let out = lint_files_with(&[f], &Baseline::default(), Some(3));
+    let out = lint_files_with(&[f], Some(3));
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 }
 
@@ -411,7 +407,7 @@ fn todo_reason_markers_do_not_suppress() {
         "crates/chord/src/router.rs",
         "pub fn f(v: &[u64]) -> u64 {\n    // dsilint: allow(hot-path-unwrap, TODO: justify)\n    *v.first().unwrap()\n}\n",
     );
-    let out = lint_files(&[f], &Baseline::default());
+    let out = lint_files(&[f]);
     assert_eq!(out.violations.len(), 1);
     assert_eq!(out.violations[0].rule, R01);
 }

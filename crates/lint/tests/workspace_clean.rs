@@ -1,10 +1,9 @@
-//! Self-test: the live workspace must pass `dsi-lint --check` with the
-//! committed baseline — the same gate CI runs, so a PR that introduces an
-//! unannotated violation fails `cargo test -p dsi-lint` locally too.
+//! Self-test: the live workspace must pass `dsi-lint --check` — the same
+//! gate CI runs, so a PR that introduces an unannotated violation fails
+//! `cargo test -p dsi-lint` locally too.
 
 use std::path::Path;
 
-use dsi_lint::baseline::Baseline;
 use dsi_lint::engine;
 
 fn workspace_root() -> &'static Path {
@@ -12,14 +11,8 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn live_workspace_passes_check_with_committed_baseline() {
-    let root = workspace_root();
-    let baseline_path = root.join("results/lint_baseline.json");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text).expect("committed baseline parses"),
-        Err(_) => Baseline::default(),
-    };
-    let outcome = engine::run(root, &baseline);
+fn live_workspace_passes_check() {
+    let outcome = engine::run(workspace_root());
     assert!(outcome.files_scanned > 50, "walk found the workspace ({})", outcome.files_scanned);
     assert!(
         outcome.violations.is_empty(),
@@ -33,7 +26,7 @@ fn msg_class_context_is_discovered() {
     // X01 is only meaningful if pass 1 actually finds the class table; a
     // refactor that moves/renames the enum must fail here, not silently
     // disable the rule.
-    let outcome = engine::run(workspace_root(), &Baseline::default());
+    let outcome = engine::run(workspace_root());
     assert_eq!(
         outcome.context.msg_class_file.as_deref(),
         Some("crates/simnet/src/metrics.rs"),
@@ -56,7 +49,7 @@ fn oracle_context_is_discovered() {
     // Same guard for X02: pass 1 must find the oracle registry, and the
     // DESIGN.md machine-readable marker must be parsed — otherwise the
     // doc-vs-registry drift check silently disarms.
-    let outcome = engine::run(workspace_root(), &Baseline::default());
+    let outcome = engine::run(workspace_root());
     assert_eq!(
         outcome.context.oracle_file.as_deref(),
         Some("crates/faultsim/src/oracle.rs"),
@@ -84,7 +77,7 @@ fn hot_set_reaches_beyond_the_entry_file() {
     // the ingest entry points: the inline aggregate replica update pulls
     // the sketch and dsp crates into the hot set. A refactor that breaks
     // edge extraction would empty this and silently disable the rule.
-    let outcome = engine::run(workspace_root(), &Baseline::default());
+    let outcome = engine::run(workspace_root());
     let hot = &outcome.context.hot_fns;
     assert!(
         hot.iter().any(|h| h.file == "crates/core/src/cluster/ingest.rs"),
