@@ -108,6 +108,7 @@ impl<R: ContentRouter> Cluster<R> {
             },
             last_feature: None,
         });
+        self.stream_false_positives.push(0);
         // Ids only grow, so pushing keeps the home's list ascending.
         self.homed.entry(home).or_default().push(id);
         // Location put: route (home -> h2 owner) and store the record.

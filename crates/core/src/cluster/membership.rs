@@ -169,6 +169,7 @@ impl Cluster<Ring> {
         assert!(self.nodes.contains_key(&id), "unknown data center {id}");
         assert!(self.node_order.len() > 1, "cannot crash the last data center");
         self.ring.crash(id);
+        self.ring_generation += 1;
         self.nodes.remove(&id);
         self.node_order.retain(|&n| n != id);
         // A crashed virtual identifier stops counting against its host;
@@ -235,6 +236,7 @@ impl Cluster<Ring> {
         assert!(!self.nodes.contains_key(&id), "identifier collision for {label}");
         let bootstrap = self.node_order[0];
         self.ring.join(id, bootstrap);
+        self.ring_generation += 1;
         self.stabilize();
         self.nodes.insert(id, DataCenter::new(id));
         self.node_order.push(id);
@@ -341,6 +343,7 @@ impl Cluster<Ring> {
             }
             let host = cold[new_ids.len() % cold.len()].0;
             self.ring.join(id, bootstrap);
+            self.ring_generation += 1;
             self.stabilize();
             self.nodes.insert(id, DataCenter::new(id));
             self.node_order.push(id);
@@ -413,6 +416,7 @@ impl Cluster<Ring> {
             }
         }
         self.ring.split(assignment);
+        self.ring_generation += 1;
         // `Ring::is_fully_consistent` is side-relative, so the ordinary
         // loop converges every island to its own consistent sub-ring.
         self.stabilize();
@@ -425,6 +429,7 @@ impl Cluster<Ring> {
     /// post-heal convergence oracle exists to catch.
     pub fn heal_partition(&mut self, reprobe: bool) {
         self.ring.heal(reprobe);
+        self.ring_generation += 1;
         if reprobe {
             self.stabilize();
         }

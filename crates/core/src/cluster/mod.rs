@@ -151,7 +151,15 @@ pub struct Cluster<R: ContentRouter = Ring> {
     quality: QualityStats,
     /// Per-stream candidates that failed exact verification (false
     /// positives charged to that stream's MBRs) — the §VI-A cost signal.
-    stream_false_positives: HashMap<StreamId, u64>,
+    /// Indexed by the dense stream id.
+    stream_false_positives: Vec<u64>,
+    /// Bumped whenever ring membership or partition sides change — every
+    /// event that can move a covering set.
+    ring_generation: u64,
+    /// Bumped whenever `queries` gains a similarity query or loses any.
+    query_generation: u64,
+    /// The current NPER round's shared candidate scan (DESIGN.md §9).
+    round_scan: notify::RoundScan,
     /// Retry/backoff/dedup state machine (DESIGN.md §12); `None` (the
     /// default) is the lossless degenerate case of the send seam: nothing is
     /// judged and no fault randomness exists to draw from.
@@ -248,7 +256,10 @@ impl<R: BuildRouter> Cluster<R> {
             stabilization_enabled: true,
             next_query: 1,
             quality: QualityStats::default(),
-            stream_false_positives: HashMap::new(),
+            stream_false_positives: Vec::new(),
+            ring_generation: 0,
+            query_generation: 0,
+            round_scan: notify::RoundScan::default(),
             reliability: None,
             pending: Vec::new(),
             query_coverage: HashMap::new(),
@@ -322,7 +333,7 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// False-positive candidates charged to one stream's MBRs so far.
     pub fn stream_false_positives(&self, stream: StreamId) -> u64 {
-        self.stream_false_positives.get(&stream).copied().unwrap_or(0)
+        self.stream_false_positives.get(stream as usize).copied().unwrap_or(0)
     }
 
     /// MBRs this stream shipped early because of its width bound — the

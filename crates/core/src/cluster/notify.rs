@@ -4,14 +4,92 @@
 use super::send::{Delivery, Dest, QUERY_ROUTE, RESPONSE_ROUTE};
 use super::{Cluster, QueryRuntime};
 use crate::aggregate::{AggregateKind, AggregateNotification, AggregateValue};
+use crate::datacenter::{candidate_radius, DataCenter};
 use crate::mapping::radius_key_range;
 use crate::query::{InnerProductQuery, MatchNotification, QueryId, SimilarityQuery, StreamId};
 use crate::reliability::PendingEffect;
-use dsi_chord::{multicast, reachable_fraction, ChordId, ContentRouter};
-use dsi_dsp::normalized_distance;
+use crate::store::axis_gap;
+use dsi_chord::{covering_nodes_from, multicast, reachable_fraction, ChordId, ContentRouter};
+use dsi_dsp::normalize;
 use dsi_simnet::{InputEvent, MsgClass, SimTime};
 use dsi_sketch::EcmSketch;
 use std::collections::HashMap;
+
+/// One NPER round's shared candidate scan (DESIGN.md §9): the plan of
+/// every live similarity query with its covering set, and one pass per
+/// covering shard that feeds all of them at once.
+#[derive(Debug, Default)]
+pub(super) struct RoundScan {
+    /// `(now, ring generation, query generation)` the plan was built for.
+    key: Option<(SimTime, u64, u64)>,
+    /// The only aggregator that has asked at `key` so far; `Some` means no
+    /// plan is built yet (its queries took the per-query probe).
+    opener: Option<ChordId>,
+    /// Planned queries, ascending id; the columns below share its index.
+    ids: Vec<QueryId>,
+    /// Feature point and `candidate_radius` of each planned query.
+    probes: Vec<(Vec<f64>, f64)>,
+    /// Side-aware covering set of each planned query.
+    covering: Vec<Vec<ChordId>>,
+    /// Candidates found so far, as a bitset over stream ids (grown to the
+    /// highest hit); `None` once the query was answered this round.
+    hits: Vec<Option<Vec<u64>>>,
+    /// Per covering node: the planned queries it serves, and the store
+    /// generation its one scan read (`None` until scanned).
+    shards: HashMap<ChordId, (Vec<usize>, Option<u64>)>,
+}
+
+impl RoundScan {
+    /// Reads `dc`'s shard once, in position order, against every pending
+    /// query it serves. A record is a candidate for a query iff its box's
+    /// `min_dist` to the query point is within `candidate_radius` — the
+    /// exact test `collect_candidates` ends in, so each query gets the set
+    /// its own index probe would.
+    fn scan(&mut self, dc: &DataCenter, now: SimTime) {
+        let RoundScan { probes, hits, shards, .. } = self;
+        let (serves, scanned) = shards.get_mut(&dc.id).expect("planned shard");
+        *scanned = Some(dc.store_generation());
+        serves.retain(|&i| hits[i].is_some());
+        let n = serves.len();
+        if n == 0 {
+            return;
+        }
+        // The pending points as axis-major columns: each record is scored
+        // against all of them by one branch-free loop per axis, with
+        // `min_dist`'s terms summed in its order.
+        let dims = probes[serves[0]].0.len();
+        let mut columns = vec![0.0; dims * n];
+        for (j, &i) in serves.iter().enumerate() {
+            let point = &probes[i].0;
+            assert_eq!(point.len(), dims, "point dimensionality mismatch");
+            for (k, &v) in point.iter().enumerate() {
+                columns[k * n + j] = v;
+            }
+        }
+        let mut sums = vec![0.0; n];
+        dc.for_each_live(now, |s| {
+            assert_eq!(s.dims(), dims, "point dimensionality mismatch");
+            sums.fill(0.0);
+            for (k, column) in columns.chunks_exact(n).enumerate() {
+                let (l, h) = (s.low[k], s.high[k]);
+                for (sum, &v) in sums.iter_mut().zip(column) {
+                    let d = axis_gap(l, h, v);
+                    *sum += d * d;
+                }
+            }
+            let (word, bit) = (s.stream as usize / 64, 1u64 << (s.stream % 64));
+            for (&sum, &i) in sums.iter().zip(serves.iter()) {
+                if sum.sqrt() <= probes[i].1 {
+                    let seen = hits[i].as_mut().expect("pending query");
+                    if word >= seen.len() {
+                        seen.resize(word + 1, 0);
+                    }
+                    seen[word] |= bit;
+                }
+            }
+        });
+    }
+}
 
 impl<R: ContentRouter> Cluster<R> {
     /// Runs one notify cycle for data center `node` at time `now` (§IV-F):
@@ -175,39 +253,120 @@ impl<R: ContentRouter> Cluster<R> {
     /// state of the in-range gossip), filtered by exact verification against
     /// the streams' current windows.
     fn aggregate_and_verify(&mut self, q: &SimilarityQuery, now: SimTime) -> Vec<StreamId> {
-        let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
-        // One feature->point conversion per query, shared across every
-        // covering node's index probe; per-node results arrive unsorted and
-        // possibly duplicated, so one global sort+dedup replaces the
-        // per-node ones (same final set).
-        let point = q.feature.to_reals();
-        let mut candidates: Vec<StreamId> = Vec::new();
-        // Side-aware: the aggregator can only gossip with covering nodes it
-        // can reach, so a split answers from one side with honest coverage.
-        for n in dsi_chord::covering_nodes_from(&self.ring, q.aggregator, lo, hi) {
-            self.nodes[&n].collect_candidates(q, &point, now, &mut candidates);
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
+        let candidates =
+            self.round_candidates(q, now).unwrap_or_else(|| self.probe_candidates(q, now));
         self.quality.candidates += candidates.len() as u64;
+        // The target is normalised once; each candidate's window is then
+        // judged in place (`within_distance` is bit-identical to
+        // `normalized_distance <= limit`).
+        let target = normalize(&q.target, q.kind.normalization());
+        let limit = q.radius + 1e-9;
         let verified: Vec<StreamId> = candidates
             .into_iter()
             .filter(|&sid| {
-                let s = &self.streams[sid as usize];
-                if !s.extractor.is_warm() {
+                let ex = &self.streams[sid as usize].extractor;
+                if !ex.is_warm() {
                     return false;
                 }
-                let window = s.extractor.window_snapshot();
-                let ok = normalized_distance(&q.target, &window, q.kind.normalization())
-                    <= q.radius + 1e-9;
+                let ok = ex.within_distance(&target, limit);
                 if !ok {
-                    *self.stream_false_positives.entry(sid).or_default() += 1;
+                    self.stream_false_positives[sid as usize] += 1;
                 }
                 ok
             })
             .collect();
         self.quality.verified += verified.len() as u64;
         verified
+    }
+
+    /// The query's candidates from this round's shared scan: ascending and
+    /// distinct, or `None` when the round plan cannot answer it and the
+    /// caller must probe — the first aggregator to ask at a key, a query
+    /// answered twice at one `now`, or a covering shard whose store changed
+    /// after its scan. The plan is built only once a second aggregator asks
+    /// at the same key: a driver that staggers NPER phases rarely shares a
+    /// `now` between cycles, and a plan it would throw away at the next tick
+    /// costs more than that cycle's own probes.
+    fn round_candidates(&mut self, q: &SimilarityQuery, now: SimTime) -> Option<Vec<StreamId>> {
+        let key = (now, self.ring_generation, self.query_generation);
+        if self.round_scan.key != Some(key) {
+            self.round_scan =
+                RoundScan { key: Some(key), opener: Some(q.aggregator), ..RoundScan::default() };
+        }
+        match self.round_scan.opener {
+            Some(first) if first == q.aggregator => return None,
+            Some(first) => self.plan_round(key, first),
+            None => {}
+        }
+        let round = &mut self.round_scan;
+        let slot = round.ids.binary_search(&q.id).ok()?;
+        round.hits[slot].as_ref()?;
+        for n in std::mem::take(&mut round.covering[slot]) {
+            let dc = &self.nodes[&n];
+            if round.shards[&n].1.is_none() {
+                round.scan(dc, now);
+            }
+            if round.shards[&n].1 != Some(dc.store_generation()) {
+                round.hits[slot] = None;
+            }
+        }
+        let seen = round.hits[slot].take()?;
+        let mut out = Vec::new();
+        for (w, &word) in seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((w * 64) as StreamId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        Some(out)
+    }
+
+    /// Builds the round plan for `key`: every live similarity query (id
+    /// order) not aggregated by `answered`, whose cycle already probed, with
+    /// its side-aware covering set and an empty candidate set.
+    fn plan_round(&mut self, key: (SimTime, u64, u64), answered: ChordId) {
+        let now = key.0;
+        let mut live: Vec<&SimilarityQuery> = self
+            .queries
+            .values()
+            .filter_map(|q| match q {
+                QueryRuntime::Similarity(sq) if sq.aggregator != answered && !sq.expired(now) => {
+                    Some(sq)
+                }
+                _ => None,
+            })
+            .collect();
+        live.sort_unstable_by_key(|q| q.id);
+        let mut round = RoundScan { key: Some(key), ..RoundScan::default() };
+        for (i, q) in live.into_iter().enumerate() {
+            let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
+            let covering = covering_nodes_from(&self.ring, q.aggregator, lo, hi);
+            for &n in &covering {
+                round.shards.entry(n).or_default().0.push(i);
+            }
+            round.ids.push(q.id);
+            round.probes.push((q.feature.to_reals(), candidate_radius(q)));
+            round.covering.push(covering);
+            round.hits.push(Some(Vec::new()));
+        }
+        self.round_scan = round;
+    }
+
+    /// Today's per-query path, for queries the round plan cannot answer:
+    /// one index probe per covering node, then one sort+dedup.
+    fn probe_candidates(&self, q: &SimilarityQuery, now: SimTime) -> Vec<StreamId> {
+        let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
+        let point = q.feature.to_reals();
+        let mut candidates: Vec<StreamId> = Vec::new();
+        // Side-aware: the aggregator can only gossip with covering nodes it
+        // can reach, so a split answers from one side with honest coverage.
+        for n in covering_nodes_from(&self.ring, q.aggregator, lo, hi) {
+            self.nodes[&n].collect_candidates(q, &point, now, &mut candidates);
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
     }
 
     /// One collection round for `self.aggregates[idx]`, run by its

@@ -65,6 +65,7 @@ impl<R: ContentRouter> Cluster<R> {
         // the range.
         self.deliver_range(&sent, now, &PendingEffect::SubscribeSimilarity(q.clone()));
         self.queries.insert(id, QueryRuntime::Similarity(q));
+        self.query_generation += 1;
         id
     }
 
@@ -221,10 +222,14 @@ impl<R: ContentRouter> Cluster<R> {
     /// Drops expired queries from the global registry (per-node replicas are
     /// purged by each node's notify cycle).
     pub fn purge_queries(&mut self, now: SimTime) {
+        let before = self.queries.len();
         self.queries.retain(|_, q| match q {
             QueryRuntime::Similarity(sq) => !sq.expired(now),
             QueryRuntime::InnerProduct(ip) => !ip.expired(now),
         });
+        if self.queries.len() != before {
+            self.query_generation += 1;
+        }
         // Expired aggregate queries drop their replicas cluster-wide;
         // delivered notifications stay with the client.
         self.aggregates.retain(|a| !a.query.expired(now));

@@ -48,6 +48,13 @@ fn prune_pad(r: f64) -> f64 {
     1e-9 + r.abs() * 1e-9
 }
 
+/// The exact candidate test's radius: a live record is a candidate for
+/// `query` iff its box's `min_dist` to the query point is at most this.
+#[inline]
+pub(crate) fn candidate_radius(query: &SimilarityQuery) -> f64 {
+    query.radius + 1e-12
+}
+
 /// Lowers an expiry bound (ms) so that it covers `expires`.
 #[inline]
 fn note_expiry(bound: &mut Option<u64>, expires: SimTime) {
@@ -78,6 +85,11 @@ pub struct DataCenter {
     /// rebalanced replicas may leave it stale-low, which costs one no-op
     /// purge.
     next_expiry: Option<u64>,
+    /// Bumped by every insert and rebalance of `store`, so a reader can
+    /// tell whether the candidate set it scanned is still current. Expiry
+    /// purges leave it alone: they drop only records `now < expires`
+    /// already rejects.
+    store_generation: u64,
 }
 
 impl DataCenter {
@@ -101,6 +113,7 @@ impl DataCenter {
     pub(crate) fn store_mbr_ref(&mut self, stored: &StoredMbr) {
         let (low, high) = extent0(&stored.mbr);
         note_expiry(&mut self.next_expiry, stored.expires);
+        self.store_generation += 1;
         self.store.push_stored(stored);
         self.mbr_index.insert(sortable_key(low, high), (self.store.len() - 1) as u32);
         self.peak_mbrs = self.peak_mbrs.max(self.store.len());
@@ -129,7 +142,23 @@ impl DataCenter {
     /// churn moves records off nodes that no longer cover their range).
     pub(crate) fn retain_mbrs(&mut self, keep: impl FnMut(SummaryRef<'_>) -> bool) {
         self.store.retain(keep);
+        self.store_generation += 1;
         self.rebuild_mbr_index();
+    }
+
+    /// See the `store_generation` field.
+    pub(crate) fn store_generation(&self) -> u64 {
+        self.store_generation
+    }
+
+    /// Visits every live record at `now` once, in position order — the
+    /// round scan's single sequential read of this shard.
+    pub(crate) fn for_each_live(&self, now: SimTime, mut visit: impl FnMut(SummaryRef<'_>)) {
+        for pos in 0..self.store.len() {
+            if now < self.store.expires_at(pos) {
+                visit(self.store.get(pos));
+            }
+        }
     }
 
     /// Bulk-loads the sortable-key index after positions in `store` shifted.
@@ -177,7 +206,7 @@ impl DataCenter {
         now: SimTime,
         out: &mut Vec<StreamId>,
     ) {
-        let r = query.radius + 1e-12;
+        let r = candidate_radius(query);
         if point.is_empty() {
             // Dimension-less query: min_dist is 0 to every box; no pruning.
             for s in self.store.iter() {
@@ -211,7 +240,7 @@ impl DataCenter {
             .store
             .iter()
             .filter(|s| now < s.expires)
-            .filter(|s| s.min_dist(&point) <= query.radius + 1e-12)
+            .filter(|s| s.min_dist(&point) <= candidate_radius(query))
             .map(|s| s.stream)
             .collect();
         out.sort_unstable();

@@ -37,6 +37,20 @@ pub struct SummaryRef<'a> {
     pub high: &'a [f64],
 }
 
+/// Distance from `v` to the interval `[l, h]` along one axis — the term
+/// `min_dist_sqr` squares and sums, shared with the round scan so both
+/// compute it identically.
+#[inline]
+pub(crate) fn axis_gap(l: f64, h: f64, v: f64) -> f64 {
+    if v < l {
+        l - v
+    } else if v > h {
+        v - h
+    } else {
+        0.0
+    }
+}
+
 impl SummaryRef<'_> {
     /// Dimensionality of the box.
     #[inline]
@@ -64,14 +78,8 @@ impl SummaryRef<'_> {
             .iter()
             .zip(self.high.iter())
             .zip(p.iter())
-            .map(|((l, h), v)| {
-                let d = if v < l {
-                    l - v
-                } else if v > h {
-                    v - h
-                } else {
-                    0.0
-                };
+            .map(|((&l, &h), &v)| {
+                let d = axis_gap(l, h, v);
                 d * d
             })
             .sum()

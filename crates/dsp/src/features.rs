@@ -263,6 +263,50 @@ impl FeatureExtractor {
         self.window.to_vec()
     }
 
+    /// Whether the current window lies within `limit` of a query target:
+    /// the same verdict as `normalized_distance(target, &window, mode) <=
+    /// limit` when `target_normalized == normalize(target, mode)`, bit for
+    /// bit, without copying or allocating.
+    ///
+    /// The ring buffer is read in place, the normaliser is recomputed in
+    /// [`normalize`]'s exact expression order, and the distance sum stops
+    /// early once `partial.sqrt() > limit`: terms are non-negative, so
+    /// partial sums never decrease, and `sqrt` is correctly rounded, so
+    /// the full distance would exceed `limit` too.
+    pub fn within_distance(&self, target_normalized: &[f64], limit: f64) -> bool {
+        let (a, b) = self.window.as_slices();
+        let values = || a.iter().chain(b).copied();
+        let w = self.window.len() as f64;
+        // `normalize(window)[i]` as a function of the raw value; `None`
+        // for the degenerate windows that normalise to all zeros.
+        let (shift, denom) = match self.mode {
+            Normalization::ZNorm => {
+                let mean = values().sum::<f64>() / w;
+                let var = values().map(|x| (x - mean) * (x - mean)).sum::<f64>() / w;
+                let sigma = var.sqrt();
+                (mean, if sigma <= f64::EPSILON { None } else { Some(sigma * w.sqrt()) })
+            }
+            Normalization::UnitNorm => {
+                let norm = values().map(|x| x * x).sum::<f64>().sqrt();
+                (0.0, if norm <= f64::EPSILON { None } else { Some(norm) })
+            }
+        };
+        let normalized = |x: f64| match (self.mode, denom) {
+            (_, None) => 0.0,
+            (Normalization::ZNorm, Some(d)) => (x - shift) / d,
+            (Normalization::UnitNorm, Some(d)) => x / d,
+        };
+        let mut sum = 0.0;
+        for (t, x) in target_normalized.iter().zip(values()) {
+            let d = t - normalized(x);
+            sum += d * d;
+            if sum.sqrt() > limit {
+                return false;
+            }
+        }
+        sum.sqrt() <= limit
+    }
+
     /// The *unnormalized* DFT coefficient prefix of the current window.
     /// Inner-product queries reconstruct an approximate raw signal from this
     /// prefix (Eq. 7); normalization would destroy the scale they need.
@@ -458,6 +502,61 @@ mod tests {
         assert!(!ex.update_scratch(3.0, &mut scratch));
         assert!(ex.update_scratch(4.0, &mut scratch));
         assert!(ex.is_warm());
+    }
+
+    /// An extractor fed `xs` (so a longer `xs` wraps the ring buffer).
+    fn fed(w: usize, mode: Normalization, xs: &[f64]) -> FeatureExtractor {
+        let mut ex = FeatureExtractor::new(w, 1, mode);
+        let mut scratch = SummaryScratch::default();
+        for &x in xs {
+            ex.update_scratch(x, &mut scratch);
+        }
+        ex
+    }
+
+    /// `within_distance` against `normalized_distance <= limit` at the
+    /// computed distance, one ulp either side, and a few coarse limits.
+    fn assert_verdicts_agree(ex: &FeatureExtractor, target: &[f64]) {
+        let window = ex.window_snapshot();
+        let normalized = normalize(target, ex.mode());
+        let d = normalized_distance(target, &window, ex.mode());
+        let ulp = |x: f64, up: bool| {
+            if x == 0.0 {
+                if up {
+                    f64::from_bits(1)
+                } else {
+                    -f64::from_bits(1)
+                }
+            } else if (x > 0.0) == up {
+                f64::from_bits(x.to_bits() + 1)
+            } else {
+                f64::from_bits(x.to_bits() - 1)
+            }
+        };
+        for limit in [d, ulp(d, false), ulp(d, true), 0.0, 0.05, 0.5, 1.0, 2.5] {
+            assert_eq!(ex.within_distance(&normalized, limit), d <= limit, "d={d} limit={limit}");
+        }
+    }
+
+    #[test]
+    fn within_distance_matches_normalized_distance() {
+        let target = ramp(16, 0.07, 0.4);
+        for mode in [Normalization::ZNorm, Normalization::UnitNorm] {
+            // Exactly full (head == 0) and wrapped (head == 7) windows.
+            for n in [16, 23, 40] {
+                let ex = fed(16, mode, &ramp(n, -0.05, 1.1));
+                assert_verdicts_agree(&ex, &target);
+            }
+            // The target's own window: distance 0 (or a few ulps).
+            let ex = fed(16, mode, &[ramp(5, 0.0, 9.0), target.clone()].concat());
+            assert_verdicts_agree(&ex, &target);
+            // Constant and all-zero windows normalise to all zeros.
+            for c in [3.5, 0.0] {
+                let ex = fed(16, mode, &[c; 21]);
+                assert_verdicts_agree(&ex, &target);
+                assert_verdicts_agree(&ex, &[c; 16]);
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,18 @@ impl SlidingWindow {
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.len).map(move |i| self.get(i).unwrap())
     }
+
+    /// The window contents as two borrowed runs of the ring buffer: the
+    /// first run followed by the second is oldest-to-newest, the same
+    /// sequence as [`SlidingWindow::to_vec`], without copying.
+    pub fn as_slices(&self) -> (&[f64], &[f64]) {
+        let end = self.head + self.len;
+        if end <= self.buf.len() {
+            (&self.buf[self.head..end], &[])
+        } else {
+            (&self.buf[self.head..], &self.buf[..end - self.buf.len()])
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +156,21 @@ mod tests {
         let v: Vec<f64> = w.iter().collect();
         assert_eq!(v, w.to_vec());
         assert_eq!(v.len(), 5);
+    }
+
+    #[test]
+    fn as_slices_concatenate_oldest_first() {
+        let mut w = SlidingWindow::new(5);
+        assert_eq!(w.as_slices(), (&[][..], &[][..]));
+        for i in 0..13 {
+            w.push(i as f64);
+            let (a, b) = w.as_slices();
+            assert_eq!([a, b].concat(), w.to_vec(), "after {} pushes", i + 1);
+        }
+        // 13 pushes into 5 slots: head = 3, so the run wraps.
+        let (a, b) = w.as_slices();
+        assert_eq!(a, &[8.0, 9.0]);
+        assert_eq!(b, &[10.0, 11.0, 12.0]);
     }
 
     #[test]

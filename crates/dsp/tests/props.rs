@@ -4,7 +4,10 @@ use dsi_dsp::complex::Complex64;
 use dsi_dsp::dft::{dft, energy, idft, spectrum_energy};
 use dsi_dsp::fft::{fft, ifft};
 use dsi_dsp::wavelet::{haar_forward, haar_inverse, HaarSynopsis};
-use dsi_dsp::{Mbr, SlidingStats, SlidingWindow};
+use dsi_dsp::{
+    normalize, normalized_distance, FeatureExtractor, Mbr, Normalization, SlidingStats,
+    SlidingWindow, SummaryScratch,
+};
 use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -196,5 +199,31 @@ proptest! {
             prop_assert!(u.contains(&[x, y]));
         }
         prop_assert!(u.intersects(&ma) && u.intersects(&mb));
+    }
+
+    // ----- Exact verification -----
+
+    /// The allocation-free verifier returns the verdict of
+    /// `normalized_distance(target, window) <= limit`, bit for bit, on
+    /// random (often wrapped) windows, at random limits and at the exact
+    /// distance.
+    #[test]
+    fn within_distance_is_bit_identical(
+        xs in prop::collection::vec(finite_f64(), 16..60),
+        target in prop::collection::vec(finite_f64(), 16),
+        limit in 0.0f64..2.5,
+        unit in any::<bool>(),
+    ) {
+        let mode = if unit { Normalization::UnitNorm } else { Normalization::ZNorm };
+        let mut ex = FeatureExtractor::new(16, 2, mode);
+        let mut scratch = SummaryScratch::default();
+        for &x in &xs {
+            ex.update_scratch(x, &mut scratch);
+        }
+        let normalized = normalize(&target, mode);
+        let d = normalized_distance(&target, &ex.window_snapshot(), mode);
+        for l in [limit, d] {
+            prop_assert_eq!(ex.within_distance(&normalized, l), d <= l, "d={} limit={}", d, l);
+        }
     }
 }
