@@ -44,7 +44,7 @@ impl RoundScan {
     /// query it serves. A record is a candidate for a query iff its box's
     /// `min_dist` to the query point is within `candidate_radius` — the
     /// exact test `collect_candidates` ends in, so each query gets the set
-    /// its own index probe would.
+    /// its own per-query probe would.
     fn scan(&mut self, dc: &DataCenter, now: SimTime) {
         let RoundScan { probes, hits, shards, .. } = self;
         let (serves, scanned) = shards.get_mut(&dc.id).expect("planned shard");
@@ -354,7 +354,7 @@ impl<R: ContentRouter> Cluster<R> {
     }
 
     /// Today's per-query path, for queries the round plan cannot answer:
-    /// one index probe per covering node, then one sort+dedup.
+    /// one shard pass per covering node, then one sort+dedup.
     fn probe_candidates(&self, q: &SimilarityQuery, now: SimTime) -> Vec<StreamId> {
         let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
         let point = q.feature.to_reals();

@@ -7,7 +7,6 @@
 //! location-service table (`h2(stream) -> source node`).
 
 use crate::query::{InnerProductQuery, QueryId, SimilarityQuery, StreamId};
-use crate::sortable::{sortable_key, SortableSummaryIndex};
 use crate::store::{SummaryRef, SummaryStore};
 use dsi_chord::ChordId;
 use dsi_dsp::Mbr;
@@ -26,26 +25,6 @@ pub struct StoredMbr {
     pub origin: ChordId,
     /// Absolute expiry time.
     pub expires: SimTime,
-}
-
-/// The dim-0 (routing-coefficient) extent of a box, widened to the whole
-/// axis for degenerate dimension-less boxes so they are never pruned.
-#[inline]
-fn extent0(mbr: &Mbr) -> (f64, f64) {
-    if mbr.dims() == 0 {
-        (f64::NEG_INFINITY, f64::INFINITY)
-    } else {
-        mbr.first_interval()
-    }
-}
-
-/// Slack added around a search interval so that dim-0 pruning can never
-/// exclude a record the exact `min_dist <= radius + 1e-12` test would
-/// accept: the rounding of `sqrt(sum of squares)` is at most a few ulps,
-/// and this pad is ~1e7 times wider than that at any magnitude.
-#[inline]
-fn prune_pad(r: f64) -> f64 {
-    1e-9 + r.abs() * 1e-9
 }
 
 /// The exact candidate test's radius: a live record is a candidate for
@@ -68,7 +47,9 @@ pub struct DataCenter {
     /// This node's Chord identifier.
     pub id: ChordId,
     /// MBRs content-routed here (the local shard of the distributed index),
-    /// in struct-of-arrays columns.
+    /// in struct-of-arrays columns. Eq. 6 placement already confines the
+    /// shard to this node's dim-0 key interval, so it carries no local
+    /// index of its own.
     store: SummaryStore,
     /// Similarity subscriptions replicated over this node's interval.
     subscriptions: HashMap<QueryId, SimilarityQuery>,
@@ -78,8 +59,6 @@ pub struct DataCenter {
     location: HashMap<StreamId, ChordId>,
     /// Peak number of simultaneously stored MBRs (storage accounting).
     peak_mbrs: usize,
-    /// Sortable-key (z-order) index over `store` (payload = position).
-    mbr_index: SortableSummaryIndex,
     /// Lower bound (ms) on the earliest expiry across the three soft-state
     /// tables; `None` while they are empty. Replaced subscriptions and
     /// rebalanced replicas may leave it stale-low, which costs one no-op
@@ -111,11 +90,9 @@ impl DataCenter {
     /// [`DataCenter::store_mbr`] from a borrowed record: the columns copy
     /// the corners out, so one emitted summary serves every replica.
     pub(crate) fn store_mbr_ref(&mut self, stored: &StoredMbr) {
-        let (low, high) = extent0(&stored.mbr);
         note_expiry(&mut self.next_expiry, stored.expires);
         self.store_generation += 1;
         self.store.push_stored(stored);
-        self.mbr_index.insert(sortable_key(low, high), (self.store.len() - 1) as u32);
         self.peak_mbrs = self.peak_mbrs.max(self.store.len());
     }
 
@@ -143,7 +120,6 @@ impl DataCenter {
     pub(crate) fn retain_mbrs(&mut self, keep: impl FnMut(SummaryRef<'_>) -> bool) {
         self.store.retain(keep);
         self.store_generation += 1;
-        self.rebuild_mbr_index();
     }
 
     /// See the `store_generation` field.
@@ -152,22 +128,15 @@ impl DataCenter {
     }
 
     /// Visits every live record at `now` once, in position order — the
-    /// round scan's single sequential read of this shard.
+    /// single sequential read of this shard behind both the round scan and
+    /// per-query probes. Expiry lives in its own column, so dead records
+    /// skip the corner loads entirely.
     pub(crate) fn for_each_live(&self, now: SimTime, mut visit: impl FnMut(SummaryRef<'_>)) {
         for pos in 0..self.store.len() {
             if now < self.store.expires_at(pos) {
                 visit(self.store.get(pos));
             }
         }
-    }
-
-    /// Bulk-loads the sortable-key index after positions in `store` shifted.
-    fn rebuild_mbr_index(&mut self) {
-        let store = &self.store;
-        self.mbr_index.bulk_load((0..store.len()).map(|pos| {
-            let (low, high) = store.get(pos).extent0();
-            (sortable_key(low, high), pos as u32)
-        }));
     }
 
     /// Peak storage footprint in MBRs.
@@ -188,17 +157,16 @@ impl DataCenter {
         out
     }
 
-    /// Index-pruned candidate walk: appends every live matching stream to
-    /// `out` (unsorted, possibly with duplicates). `point` must be
+    /// Candidate walk: appends every live matching stream to `out`
+    /// (unsorted, possibly with duplicates). `point` must be
     /// `query.feature.to_reals()` — callers probing many nodes compute it
     /// once and pass it down.
     ///
-    /// Dim-0 of the feature space is the routing coefficient's real part, so
-    /// any box within `radius` of the query point must overlap
-    /// `[p0 - r, p0 + r]` on that axis; the sortable-key index prunes to a
-    /// superset of those boxes (the z-order scan is conservative under the
-    /// 32-bit key quantization) before the exact `min_dist` test, which
-    /// keeps the result set identical to the brute-force scan.
+    /// One [`DataCenter::for_each_live`] pass with the exact `min_dist`
+    /// test. Routing by the dim-0 key already sent the query only to the
+    /// nodes whose interval its radius overlaps, and the shard holds only
+    /// boxes placed on that interval, so a second dim-0 filter here would
+    /// admit nearly all of it anyway.
     pub fn collect_candidates(
         &self,
         query: &SimilarityQuery,
@@ -207,33 +175,17 @@ impl DataCenter {
         out: &mut Vec<StreamId>,
     ) {
         let r = candidate_radius(query);
-        if point.is_empty() {
-            // Dimension-less query: min_dist is 0 to every box; no pruning.
-            for s in self.store.iter() {
-                if now < s.expires && s.min_dist(point) <= r {
-                    out.push(s.stream);
-                }
-            }
-            return;
-        }
-        let pad = prune_pad(r);
-        let (a, b) = (point[0] - r - pad, point[0] + r + pad);
-        self.mbr_index.for_overlapping(a, b, |pos| {
-            let pos = pos as usize;
-            // Expiry lives in its own column: dead records skip the corner
-            // loads entirely.
-            if now < self.store.expires_at(pos) {
-                let s = self.store.get(pos);
-                if s.min_dist(point) <= r {
-                    out.push(s.stream);
-                }
+        self.for_each_live(now, |s| {
+            if s.min_dist(point) <= r {
+                out.push(s.stream);
             }
         });
     }
 
-    /// Brute-force reference for [`DataCenter::local_candidates`]: the
-    /// original full linear scan. Kept for property tests and as the
-    /// baseline the bench suite measures the index against.
+    /// Brute-force reference for [`DataCenter::local_candidates`]: a
+    /// filter-map over the row view, written independently of the column
+    /// pass. Kept for property tests and as the reference the benchmark's
+    /// correctness check and the round-scan tests compare against.
     pub fn local_candidates_linear(&self, query: &SimilarityQuery, now: SimTime) -> Vec<StreamId> {
         let point = query.feature.to_reals();
         let mut out: Vec<StreamId> = self
@@ -354,7 +306,6 @@ impl DataCenter {
         self.subscriptions.retain(|_, q| live(q.expires));
         self.ip_subscriptions.retain(|_, q| live(q.expires));
         self.next_expiry = next;
-        self.rebuild_mbr_index();
         before - (self.store.len() + self.subscriptions.len() + self.ip_subscriptions.len())
     }
 }
@@ -467,9 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn indexed_candidates_match_linear_scan_through_mutations() {
+    fn candidates_match_linear_scan_through_mutations() {
         let mut dc = DataCenter::new(5);
-        // Enough inserts to force several staged-tail compactions.
         for i in 0..200u32 {
             let w = wave(32, 0.05 + (i % 23) as f64 * 0.07);
             dc.store_mbr(stored(i, &w, 500 + (i as u64 % 7) * 400));
@@ -479,11 +429,15 @@ mod tests {
         for t in [0u64, 600, 1300, 2500, 9000] {
             let now = SimTime::from_ms(t);
             dc.purge_expired(now);
+            if t == 1300 {
+                // A churn rebalance drops live records and shifts positions.
+                dc.retain_mbrs(|s| s.stream % 3 != 0);
+            }
             for q in &queries {
                 assert_eq!(
                     dc.local_candidates(q, now),
                     dc.local_candidates_linear(q, now),
-                    "indexed/linear divergence at t={t} query={}",
+                    "column pass/linear divergence at t={t} query={}",
                     q.id
                 );
             }

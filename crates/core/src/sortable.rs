@@ -28,6 +28,12 @@
 //! mergeable runs (bulk-loaded wholesale on rebuilds) plus a small unsorted
 //! staged tail, compacted LSM-style; range scans use BIGMIN (Tropf &
 //! Herzog) to jump over z-order gaps outside the query rectangle.
+//!
+//! No data center keeps one: Eq. 6 placement already confines each shard
+//! to its node's dim-0 key interval, so a per-node dim-0 filter admits
+//! most of the shard and costs more than one pass over its columns
+//! (DESIGN.md §9). The keys and the index are kept for the benchmark's
+//! layer replay and as the building block of multi-coefficient ring keys.
 
 use serde::{Deserialize, Serialize};
 
@@ -263,7 +269,7 @@ impl SortableSummaryIndex {
     }
 
     /// Sorts the staged tail into a run and merges runs of similar size.
-    // dsilint: allow(hot-path-alloc, cold boundary: compaction runs when a shipped summary is indexed — the delivery side of an emission; §14 pins non-emitting ticks, and run merges amortize to O of log n reallocations per insert)
+    // dsilint: allow(hot-path-alloc, cold boundary: no ingest path indexes summaries, but the name-based call graph reaches every insert, e.g. from EcmSketch::update; run merges amortize to O of log n reallocations per insert)
     pub fn compact(&mut self) {
         if self.staged.is_empty() {
             return;

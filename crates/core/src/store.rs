@@ -59,7 +59,7 @@ impl SummaryRef<'_> {
     }
 
     /// The dim-0 extent, widened to the whole axis for dimension-less boxes
-    /// (mirrors `datacenter::extent0`).
+    /// so a [`crate::SortableSummaryIndex`] keyed on it never prunes them.
     #[inline]
     pub fn extent0(&self) -> (f64, f64) {
         if self.low.is_empty() {

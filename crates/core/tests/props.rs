@@ -99,10 +99,10 @@ proptest! {
         }
     }
 
-    // ----- Index-pruned matching -----
+    // ----- Candidate matching -----
 
     #[test]
-    fn indexed_local_candidates_equal_brute_force(
+    fn local_candidates_equal_brute_force(
         boxes in prop::collection::vec(
             // (center re, center im, box half-width, stream id, expiry ms)
             (-1.0f64..1.0, -1.0f64..1.0, 0.0f64..0.3, 0u32..40, 1u64..5000),
@@ -148,7 +148,7 @@ proptest! {
             prop_assert_eq!(
                 dc.local_candidates(&q, now),
                 dc.local_candidates_linear(&q, now),
-                "index diverged from brute force at t={}", at
+                "column pass diverged from brute force at t={}", at
             );
         }
     }

@@ -1,7 +1,7 @@
 //! An NPER round's similarity answers against a brute-force reference.
 //!
 //! The cluster answers every live query of a round from one shared pass
-//! per covering shard. It uses per-query index probes instead for the first
+//! per covering shard. It uses per-query probes instead for the first
 //! aggregator of a round, and when a shard changed after its pass. Whatever
 //! path answers, each query's response must equal: the union over its
 //! side-aware covering nodes of `local_candidates_linear`, filtered by
