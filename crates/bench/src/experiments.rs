@@ -330,14 +330,13 @@ pub fn fig8(quick: bool) -> (Vec<SystemReport>, String) {
     }
     writeln!(out, "  expected shapes: point-routed messages ~ (1/2) log2 N;").unwrap();
     writeln!(out, "                   internal query messages grow linearly (range walk)").unwrap();
-    let model = dsi_simnet::LatencyModel::default();
     writeln!(out, "  responsiveness at 50 ms/hop (largest N):").unwrap();
     if let Some(r) = reports.last() {
         writeln!(
             out,
             "    response latency {:.0} ms, query range propagation {:.0} ms",
-            r.response_latency_ms(&model),
-            r.query_propagation_ms(&model)
+            r.response_latency_ms(),
+            r.query_propagation_ms()
         )
         .unwrap();
     }

@@ -11,7 +11,6 @@
 
 use crate::id::{ChordId, IdSpace};
 use crate::ring::Lookup;
-use dsi_trace::{RouteTrace, Tracer};
 
 /// A key-based routing substrate over the `m`-bit identifier circle.
 pub trait ContentRouter {
@@ -70,25 +69,6 @@ pub trait ContentRouter {
     /// Routes a message from `from` toward `key` through the overlay,
     /// returning the owner and the full hop path (for latency accounting).
     fn route(&self, from: ChordId, key: ChordId) -> Lookup;
-
-    /// [`ContentRouter::route`], additionally recording the hop path into
-    /// `tracer` as one causal chain (first hop `base`, later hops
-    /// `transit`; hop count marked at the tail when `log_hops` is set —
-    /// the exact shape `Metrics::record_route`/`record_hops` count).
-    /// A no-op on the tracer when tracing is disabled.
-    fn route_traced(
-        &self,
-        from: ChordId,
-        key: ChordId,
-        tracer: &mut Tracer,
-        base: u8,
-        transit: u8,
-        log_hops: bool,
-    ) -> (Lookup, Option<RouteTrace>) {
-        let lookup = self.route(from, key);
-        let rt = tracer.route(&lookup.path, base, transit, log_hops);
-        (lookup, rt)
-    }
 }
 
 impl ContentRouter for crate::ring::Ring {
@@ -173,29 +153,5 @@ mod tests {
         assert_eq!(l.owner, 200);
         assert_eq!(*l.path.first().unwrap(), 10);
         assert_eq!(*l.path.last().unwrap(), 200);
-    }
-
-    #[test]
-    fn route_traced_mirrors_route_and_records_path() {
-        let space = IdSpace::new(8);
-        let ring = <Ring as BuildRouter>::build(space, &[10, 60, 120, 200]);
-        let mut tracer = Tracer::disabled();
-
-        // Disabled: identical lookup, no records, no trace handle.
-        let (l, rt) = ring.route_traced(10, 130, &mut tracer, 3, 5, true);
-        assert_eq!(l, ring.route(10, 130));
-        assert!(rt.is_none());
-        assert_eq!(tracer.len(), 0);
-
-        tracer.enable(64);
-        let (l, rt) = ring.route_traced(10, 130, &mut tracer, 3, 5, true);
-        let rt = rt.unwrap();
-        // One origin + one hop per overlay message of the lookup.
-        assert_eq!(tracer.len(), l.path.len());
-        let tail = tracer.iter().last().unwrap();
-        assert_eq!(tail.id, rt.tail.id);
-        assert_eq!(tail.to, l.owner);
-        assert_eq!(tail.depth, l.hops());
-        assert_eq!(tail.hops_class, Some(3));
     }
 }

@@ -160,7 +160,7 @@ pub struct Cluster<R: ContentRouter = Ring> {
     query_generation: u64,
     /// The current NPER round's shared candidate scan (DESIGN.md §9).
     round_scan: notify::RoundScan,
-    /// Retry/backoff/dedup state machine (DESIGN.md §12); `None` (the
+    /// Retry/backoff state machine (DESIGN.md §12); `None` (the
     /// default) is the lossless degenerate case of the send seam: nothing is
     /// judged and no fault randomness exists to draw from.
     reliability: Option<ReliabilityState>,
@@ -392,12 +392,13 @@ impl<R: ContentRouter> Cluster<R> {
     }
 
     /// Installs a per-class fault plan and arms the reliability layer
-    /// (retry/backoff, bounded dedup, successor-list multicast failover,
-    /// parked late effects — DESIGN.md §12). `FaultPlan::NONE` disarms it:
-    /// the send seam then delivers everything it is not partitioned from
-    /// and consumes no fault randomness, keeping golden outputs
-    /// byte-identical. The fault RNG is seeded from `seed`; derive it from
-    /// the scenario seed.
+    /// (retry/backoff, duplicate suppression, successor-list multicast
+    /// failover, parked late effects — DESIGN.md §12). `FaultPlan::NONE`
+    /// disarms it: the send seam then delivers everything it is not
+    /// partitioned from and consumes no fault randomness, keeping golden
+    /// outputs byte-identical. Effects parked while armed still drain at
+    /// their receivers' next cycles. The fault RNG is seeded from `seed`;
+    /// derive it from the scenario seed.
     ///
     /// # Panics
     /// Panics if the plan's probabilities are invalid.

@@ -77,7 +77,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// aggregator. Each notify cycle the aggregator collects the
     /// replicas up the multicast tree — partial sketches merge at the
     /// middle nodes — and pushes one coverage-tagged
-    /// [`AggregateNotification`] to the client. Returns the query id.
+    /// [`crate::AggregateNotification`] to the client. Returns the query id.
     pub fn post_aggregate_query(
         &mut self,
         client_idx: usize,

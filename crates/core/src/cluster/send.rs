@@ -413,9 +413,10 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// Applies parked late effects addressed to `node` that have come due
     /// (the receiver's first refresh tick after the delayed delivery).
-    /// Effects are only ever parked — and drained — while a plan is armed.
+    /// Effects are only parked while a plan is armed, but drain whether or
+    /// not it still is.
     pub(super) fn drain_pending(&mut self, node: ChordId, now: SimTime) {
-        if self.reliability.is_none() || self.pending.is_empty() {
+        if self.pending.is_empty() {
             return;
         }
         let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
@@ -500,6 +501,20 @@ mod tests {
             0,
             "all due effects drained"
         );
+    }
+
+    #[test]
+    fn disarming_still_drains_effects_parked_while_armed() {
+        let mut c = small_cluster(8);
+        let sid = c.register_stream("s0", 0);
+        c.set_fault_plan(FaultPlan::uniform(spec(0.0, 0.0, 1.0)), 5);
+        feed_stream(&mut c, sid, &wave(40, 0.4, 0.0), SimTime::ZERO);
+        c.post_similarity_query(1, wave(16, 0.4, 0.0), 0.3, 60_000, SimTime::ZERO);
+        assert!(c.pending_effects() > 0, "delayed deliveries must be parked");
+        c.set_fault_plan(FaultPlan::NONE, 0);
+        // Disarming stops new parking, not the delivery of what is in flight.
+        c.notify_all(SimTime::from_ms(c.config().workload.nper_ms));
+        assert_eq!(c.pending_effects(), 0, "effects parked while armed must drain after a disarm");
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl DataCenter {
     /// `query.feature.to_reals()` — callers probing many nodes compute it
     /// once and pass it down.
     ///
-    /// One [`DataCenter::for_each_live`] pass with the exact `min_dist`
+    /// One `for_each_live` pass with the exact `min_dist`
     /// test. Routing by the dim-0 key already sent the query only to the
     /// nodes whose interval its radius overlaps, and the shard holds only
     /// boxes placed on that interval, so a second dim-0 filter here would
@@ -517,8 +517,8 @@ mod tests {
         let tick = SimTime::from_ms(1000);
         assert_eq!(dc.purge_expired(tick), 1, "one live copy, one removal");
         assert_eq!(dc.purge_expired(tick), 0, "nothing left to purge");
-        // `store_mbr` appends blindly (the dedup cache upstream suppresses
-        // duplicated copies); both raw copies purge in one pass.
+        // `store_mbr` appends blindly (the reliability layer upstream
+        // suppresses duplicated copies); both raw copies purge in one pass.
         dc.store_mbr(stored(0, &wave(32, 0.2), 2000));
         dc.store_mbr(stored(0, &wave(32, 0.2), 2000));
         assert_eq!(dc.purge_expired(SimTime::from_ms(2000)), 2);

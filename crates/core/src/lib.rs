@@ -10,8 +10,8 @@
 //! * [`datacenter`] — per-node index shards, subscriptions, expiry;
 //! * [`cluster`] — the full middleware over a Chord ring with message
 //!   accounting;
-//! * [`reliability`] — acked delivery with retry/backoff, bounded dedup,
-//!   parked late effects and coverage-tagged degradation (DESIGN.md §12);
+//! * [`reliability`] — acked delivery with retry/backoff, duplicate
+//!   suppression, parked late effects and coverage-tagged degradation (DESIGN.md §12);
 //! * [`load`] — per-node load ledger and virtual-node re-weighting
 //!   mitigation for Fourier-space hotspots (DESIGN.md §13);
 //! * [`aggregate`] — sliding-window aggregate queries answered from
@@ -54,8 +54,7 @@ pub use query::{
     StreamId,
 };
 pub use reliability::{
-    DedupCache, DeliveryVerdict, PendingDelivery, PendingEffect, ReliabilityConfig,
-    ReliabilityState, Resolution,
+    DeliveryVerdict, PendingDelivery, PendingEffect, ReliabilityState, Resolution,
 };
 pub use report::{
     EventCounts, HopComponents, LoadBalanceReport, LoadComponents, OverheadComponents,

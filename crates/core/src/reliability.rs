@@ -1,25 +1,22 @@
-//! Reliability layer: acked delivery with retry/backoff, dedup, and
-//! parked late effects (§ DESIGN.md §12).
+//! Reliability layer: acked delivery with retry/backoff, duplicate
+//! suppression, and parked late effects (§ DESIGN.md §12).
 //!
 //! The simulator charges every message **once, at send time**; this module
 //! decides what happens to that message afterwards.  Each logical send is
-//! assigned a fresh message id and resolved through the active
-//! [`FaultPlan`]:
+//! resolved through the active [`FaultPlan`], one fault draw per attempt:
 //!
-//! * **Deliver** — the common case; the id lands in the dedup cache so a
-//!   replayed copy would be recognised.
-//! * **Duplicate** — the second copy hits the bounded dedup cache and is
-//!   suppressed (`dups_suppressed` counter); the receiver observes exactly
-//!   one delivery.
+//! * **Deliver** — the common case.
+//! * **Duplicate** — a second copy of the message reaches the receiver,
+//!   which recognises it and suppresses it (`dups_suppressed` counter);
+//!   the receiver observes exactly one delivery.
 //! * **Delay** — the message is in flight (charged and traced at send
 //!   time) but its *state effect* on the receiver is parked as a
 //!   [`PendingDelivery`] and drained at the receiver's next refresh tick,
 //!   mirroring [`dsi_simnet::DelayQueue`] semantics.
 //! * **Drop** — the sender retries with exponential backoff and
-//!   deterministic, seed-driven jitter, up to
-//!   [`ReliabilityConfig::max_retries`]; a message that exhausts the
-//!   budget is **Lost** and the caller degrades gracefully (partial
-//!   results tagged with a coverage estimate).
+//!   deterministic, seed-driven jitter, up to [`MAX_RETRIES`]; a message
+//!   that exhausts the budget is **Lost** and the caller degrades
+//!   gracefully (partial results tagged with a coverage estimate).
 //!
 //! Backoff is *analytic*: the virtual clock is not shifted, the total
 //! backoff spent is accumulated in [`ReliabilityState::backoff_ms_total`]
@@ -30,78 +27,18 @@ use dsi_chord::ChordId;
 use dsi_simnet::{FaultOutcome, FaultPlan, MsgClass, SimTime, HOP_DELAY_MS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
 
 use crate::datacenter::StoredMbr;
 use crate::query::{InnerProductQuery, QueryId, SimilarityQuery, StreamId};
 
-/// Tuning knobs for the retry/backoff state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliabilityConfig {
-    /// Retry budget per logical message; exhaustion makes the message
-    /// `Lost` and triggers graceful degradation at the call site.
-    pub max_retries: u32,
-    /// First backoff step in virtual milliseconds; step `k` waits
-    /// `base << k` plus jitter.
-    pub base_backoff_ms: u64,
-    /// Capacity of the bounded dedup cache (oldest ids evicted first).
-    pub dedup_capacity: usize,
-}
+/// Retry budget per logical message; exhaustion makes the message `Lost`
+/// and triggers graceful degradation at the call site.
+pub const MAX_RETRIES: u32 = 5;
 
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            max_retries: 5,
-            // One network hop is a natural first retry horizon.
-            base_backoff_ms: HOP_DELAY_MS,
-            dedup_capacity: 1024,
-        }
-    }
-}
-
-/// Bounded first-seen cache for message ids.
-///
-/// Backed by a `HashSet` for membership plus a `VecDeque` for FIFO
-/// eviction.  The set is never iterated, so map-order nondeterminism
-/// (lint rule D01) cannot leak into behaviour.
-#[derive(Debug, Default)]
-pub struct DedupCache {
-    capacity: usize,
-    seen: HashSet<u64>,
-    order: VecDeque<u64>,
-}
-
-impl DedupCache {
-    /// Create a cache that remembers at most `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DedupCache { capacity: capacity.max(1), seen: HashSet::new(), order: VecDeque::new() }
-    }
-
-    /// Record `id`; returns `true` when the id is fresh (first copy) and
-    /// `false` when it is a duplicate that must be suppressed.
-    pub fn insert(&mut self, id: u64) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
-        self.order.push_back(id);
-        while self.order.len() > self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.seen.remove(&evicted);
-            }
-        }
-        true
-    }
-
-    /// Number of ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
+/// First backoff step in virtual milliseconds (one network hop); retry
+/// `k` waits `BASE_BACKOFF_MS << (k - 1)` plus jitter in
+/// `[0, BASE_BACKOFF_MS]`.
+pub const BASE_BACKOFF_MS: u64 = HOP_DELAY_MS;
 
 /// Terminal fate of one logical message after retries and dedup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,16 +59,16 @@ pub struct Resolution {
     /// What the receiver ultimately observes.
     pub verdict: DeliveryVerdict,
     /// Retries consumed before the terminal outcome (0 on first-try
-    /// success, `max_retries` on a lost message).
+    /// success, [`MAX_RETRIES`] on a lost message).
     pub retries: u32,
-    /// A duplicated copy arrived and was suppressed by the dedup cache.
+    /// A duplicated copy arrived and was suppressed.
     pub dup_suppressed: bool,
     /// Analytic backoff latency accumulated by the retries, in virtual
     /// milliseconds (exponential steps plus seeded jitter).
     pub backoff_ms: u64,
 }
 
-/// Seeded, deterministic retry/backoff/dedup state machine.
+/// Seeded, deterministic retry/backoff state machine.
 ///
 /// Lives inside `Cluster` and is consulted once per logical message on
 /// every faulted send path.  Holding its own `StdRng` keeps the fault
@@ -141,11 +78,7 @@ pub struct Resolution {
 pub struct ReliabilityState {
     /// Per-class fault probabilities driving each delivery attempt.
     pub plan: FaultPlan,
-    /// Retry/backoff/dedup tuning.
-    pub cfg: ReliabilityConfig,
     rng: StdRng,
-    next_msg_id: u64,
-    dedup: DedupCache,
     /// Total analytic backoff latency spent across all resolved sends.
     pub backoff_ms_total: u64,
 }
@@ -153,21 +86,12 @@ pub struct ReliabilityState {
 impl ReliabilityState {
     /// Build the state machine for `plan`, seeding the fault RNG from
     /// `seed` (derive it from the scenario seed for reproducibility).
+    ///
+    /// # Panics
+    /// Panics if the plan's probabilities are invalid.
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
         plan.validate();
-        ReliabilityState::with_config(plan, seed, ReliabilityConfig::default())
-    }
-
-    /// [`ReliabilityState::new`] with explicit tuning knobs.
-    pub fn with_config(plan: FaultPlan, seed: u64, cfg: ReliabilityConfig) -> Self {
-        ReliabilityState {
-            plan,
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
-            next_msg_id: 0,
-            dedup: DedupCache::new(cfg.dedup_capacity),
-            backoff_ms_total: 0,
-        }
+        ReliabilityState { plan, rng: StdRng::seed_from_u64(seed), backoff_ms_total: 0 }
     }
 
     /// Resolve the fate of one logical message of `class`.
@@ -180,67 +104,25 @@ impl ReliabilityState {
         let mut retries = 0u32;
         let mut backoff_ms = 0u64;
         loop {
-            let msg_id = self.next_msg_id;
-            self.next_msg_id += 1;
-            match spec.outcome(&mut self.rng) {
-                FaultOutcome::Deliver => {
-                    self.dedup.insert(msg_id);
-                    self.backoff_ms_total += backoff_ms;
-                    return Resolution {
-                        verdict: DeliveryVerdict::Deliver,
-                        retries,
-                        dup_suppressed: false,
-                        backoff_ms,
-                    };
-                }
-                FaultOutcome::Duplicate => {
-                    // Two copies of the same id hit the wire; the dedup
-                    // cache admits the first and suppresses the second.
-                    let first = self.dedup.insert(msg_id);
-                    let second = self.dedup.insert(msg_id);
-                    debug_assert!(first && !second, "dedup must admit once");
-                    self.backoff_ms_total += backoff_ms;
-                    return Resolution {
-                        verdict: DeliveryVerdict::Deliver,
-                        retries,
-                        dup_suppressed: true,
-                        backoff_ms,
-                    };
-                }
-                FaultOutcome::Delay => {
-                    self.dedup.insert(msg_id);
-                    self.backoff_ms_total += backoff_ms;
-                    return Resolution {
-                        verdict: DeliveryVerdict::Late,
-                        retries,
-                        dup_suppressed: false,
-                        backoff_ms,
-                    };
-                }
-                // [`FaultSpec::outcome`] only draws probabilistic fates;
-                // partitions are deterministic topology cuts enforced at
-                // the send site before `resolve` is ever consulted.
-                FaultOutcome::Partitioned => {
-                    unreachable!("outcome() never draws Partitioned")
-                }
+            let (verdict, dup_suppressed) = match spec.outcome(&mut self.rng) {
+                FaultOutcome::Deliver => (DeliveryVerdict::Deliver, false),
+                // The second copy of a duplicated message is the one the
+                // receiver suppresses; the first is delivered.
+                FaultOutcome::Duplicate => (DeliveryVerdict::Deliver, true),
+                FaultOutcome::Delay => (DeliveryVerdict::Late, false),
+                FaultOutcome::Drop if retries >= MAX_RETRIES => (DeliveryVerdict::Lost, false),
                 FaultOutcome::Drop => {
-                    if retries >= self.cfg.max_retries {
-                        self.backoff_ms_total += backoff_ms;
-                        return Resolution {
-                            verdict: DeliveryVerdict::Lost,
-                            retries,
-                            dup_suppressed: false,
-                            backoff_ms,
-                        };
-                    }
                     retries += 1;
                     // Exponential step, capped so the shift cannot
                     // overflow, plus one seeded jitter draw.
-                    let step = self.cfg.base_backoff_ms << (retries - 1).min(16);
-                    let jitter = self.rng.gen_range(0..=self.cfg.base_backoff_ms);
+                    let step = BASE_BACKOFF_MS << (retries - 1).min(16);
+                    let jitter = self.rng.gen_range(0..=BASE_BACKOFF_MS);
                     backoff_ms += step + jitter;
+                    continue;
                 }
-            }
+            };
+            self.backoff_ms_total += backoff_ms;
+            return Resolution { verdict, retries, dup_suppressed, backoff_ms };
         }
     }
 }
@@ -312,19 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_cache_is_bounded_and_suppresses_repeats() {
-        let mut cache = DedupCache::new(3);
-        assert!(cache.insert(1));
-        assert!(!cache.insert(1));
-        assert!(cache.insert(2));
-        assert!(cache.insert(3));
-        assert!(cache.insert(4)); // evicts 1
-        assert_eq!(cache.len(), 3);
-        assert!(cache.insert(1), "evicted id is fresh again");
-        assert!(!cache.insert(4), "recent id still suppressed");
-    }
-
-    #[test]
     fn lossless_plan_always_delivers_without_retries() {
         let mut state = ReliabilityState::new(drop_only(0.0), 7);
         for class in MsgClass::ALL {
@@ -342,13 +211,12 @@ mod tests {
         let mut state = ReliabilityState::new(drop_only(1.0), 7);
         let res = state.resolve(MsgClass::MbrOriginated);
         assert_eq!(res.verdict, DeliveryVerdict::Lost);
-        assert_eq!(res.retries, state.cfg.max_retries);
+        assert_eq!(res.retries, MAX_RETRIES);
         // Exponential schedule: base * (2^0 + ... + 2^(r-1)) plus jitter
         // in [0, base] per retry.
-        let base = state.cfg.base_backoff_ms;
-        let floor = base * ((1 << state.cfg.max_retries) - 1);
+        let floor = BASE_BACKOFF_MS * ((1 << MAX_RETRIES) - 1);
         assert!(res.backoff_ms >= floor);
-        assert!(res.backoff_ms <= floor + base * u64::from(state.cfg.max_retries));
+        assert!(res.backoff_ms <= floor + BASE_BACKOFF_MS * u64::from(MAX_RETRIES));
         assert_eq!(state.backoff_ms_total, res.backoff_ms);
     }
 
@@ -377,6 +245,34 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100), "different seeds diverge");
+    }
+
+    #[test]
+    fn resolution_stream_for_seed_99_is_pinned() {
+        // The draw sequence itself, not just its repeatability: verdict
+        // counts, Σretries, Σbackoff_ms and duplicates over the first 256
+        // resolutions of the mixed plan above.
+        let plan = drop_only(0.4).with_class(
+            MsgClass::Query,
+            FaultSpec { drop_prob: 0.2, dup_prob: 0.2, delay_prob: 0.2 },
+        );
+        let mut state = ReliabilityState::new(plan, 99);
+        let (mut deliver, mut late, mut lost) = (0u32, 0u32, 0u32);
+        let (mut retries, mut backoff_ms, mut dups) = (0u32, 0u64, 0u32);
+        for i in 0..256 {
+            let res = state.resolve(MsgClass::ALL[i % MsgClass::ALL.len()]);
+            match res.verdict {
+                DeliveryVerdict::Deliver => deliver += 1,
+                DeliveryVerdict::Late => late += 1,
+                DeliveryVerdict::Lost => lost += 1,
+            }
+            retries += res.retries;
+            backoff_ms += res.backoff_ms;
+            dups += u32::from(res.dup_suppressed);
+        }
+        assert_eq!((deliver, late, lost), (250, 5, 1));
+        assert_eq!((retries, backoff_ms, dups), (145, 16_686, 6));
+        assert_eq!(state.backoff_ms_total, backoff_ms);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment reports: the exact series the paper's figures plot.
 
-use dsi_simnet::{InputEvent, Metrics, MsgClass};
+use dsi_simnet::{InputEvent, Metrics, MsgClass, HOP_DELAY_MS};
 use serde::{Deserialize, Serialize};
 
 /// One row of Fig. 6(a): average per-node message load (messages/second),
@@ -166,22 +166,23 @@ impl SystemReport {
         }
     }
 
-    /// Expected end-to-end latency of a response message under a latency
-    /// model (hops x mean per-hop delay) — the "time lags for the detected
-    /// similarities to be propagated to the client" the paper discusses.
-    pub fn response_latency_ms(&self, model: &dsi_simnet::LatencyModel) -> f64 {
-        self.hops.response * model.mean_hop_ms()
+    /// Expected end-to-end latency of a response message at the paper's
+    /// 50 ms per hop (hops x [`HOP_DELAY_MS`]) — the "time lags for the
+    /// detected similarities to be propagated to the client" the paper
+    /// discusses.
+    pub fn response_latency_ms(&self) -> f64 {
+        self.hops.response * HOP_DELAY_MS as f64
     }
 
     /// Expected time for a query to reach the *last* node of its range
     /// (the §IV-C sequential-walk cost Fig. 8 tracks).
-    pub fn query_propagation_ms(&self, model: &dsi_simnet::LatencyModel) -> f64 {
-        self.hops.query_internal.max(self.hops.query) * model.mean_hop_ms()
+    pub fn query_propagation_ms(&self) -> f64 {
+        self.hops.query_internal.max(self.hops.query) * HOP_DELAY_MS as f64
     }
 }
 
-/// Reliability-layer accounting: what the retry/backoff/dedup machinery
-/// did during a run (DESIGN.md §12).
+/// Reliability-layer accounting: what the retry/backoff machinery did
+/// during a run (DESIGN.md §12).
 ///
 /// Kept *separate* from [`SystemReport`] so the golden Figure series stays
 /// byte-identical for fault-free runs; a clean run reports all-zero
@@ -192,7 +193,7 @@ pub struct ReliabilityReport {
     pub retries: u64,
     /// Messages whose effect landed one refresh period late.
     pub redeliveries: u64,
-    /// Duplicated copies suppressed by the bounded dedup cache.
+    /// Duplicated copies suppressed at the receiver.
     pub dups_suppressed: u64,
     /// Number of coverage samples recorded (one per degraded-capable op).
     pub coverage_samples: u64,
@@ -290,9 +291,8 @@ mod tests {
         m.record_hops(MsgClass::Response, 4);
         m.record_hops(MsgClass::QueryInternal, 10);
         let r = SystemReport::from_metrics(&m, &[1], 1.0, 0, 0.1, 0, 0);
-        let model = dsi_simnet::LatencyModel::default();
-        assert!((r.response_latency_ms(&model) - 200.0).abs() < 1e-9);
-        assert!((r.query_propagation_ms(&model) - 500.0).abs() < 1e-9);
+        assert!((r.response_latency_ms() - 200.0).abs() < 1e-9);
+        assert!((r.query_propagation_ms() - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`window::SlidingWindow`] — the sliding-window data model (§III-A);
 //! * [`mbr::Mbr`] — feature-space minimum bounding rectangles (§IV-G);
 //! * [`wavelet`] — the Haar-wavelet alternative summarizer the paper cites
-//!   (STARDUST, reference [6]).
+//!   (STARDUST, reference \[6\]).
 
 #![warn(missing_docs)]
 

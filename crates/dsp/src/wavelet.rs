@@ -1,6 +1,6 @@
 //! Haar wavelet summarization — the alternative the paper cites as its
 //! sibling technique (STARDUST: "fast stream indexing using incremental
-//! wavelet approximations", reference [6]; also SWAT [5]).
+//! wavelet approximations", reference \[6\]; also SWAT \[5\]).
 //!
 //! The Haar transform here uses the orthonormal convention, so Parseval
 //! holds and — exactly as for the truncated DFT — the Euclidean distance

@@ -22,7 +22,7 @@
 //! 7. **Eventual completeness** — when per-class faults degrade coverage
 //!    (DESIGN.md §12), the coverage oracles (1 and 3) switch from instant
 //!    to eventual mode: a hole is tolerated while the periodic repair
-//!    converges, but must close within [`K_REFRESH_ROUNDS`] NPER rounds.
+//!    converges, but must close within `K_REFRESH_ROUNDS` NPER rounds.
 //! 8. **Load balance** — when a [`LoadBound`] envelope is armed, the
 //!    per-host max/mean message ratio of each NPER round (from the
 //!    cluster's load ledger, DESIGN.md §13) must stay under the bound;
@@ -43,7 +43,7 @@
 //!     [`crate::scenario::PartitionConfig`] is armed,
 //!     holes the split tears open are tolerated while the cut is up (the
 //!     suppression is deterministic; they provably cannot close), but
-//!     within [`K_REFRESH_ROUNDS`] NPER rounds of the heal the ring's
+//!     within `K_REFRESH_ROUNDS` NPER rounds of the heal the ring's
 //!     successor/finger state must match the brute-force recomputation,
 //!     covering-set placement (Eq. 6) must be green again, no unexpired
 //!     registration may be lost, and a freshly posted probe query must
@@ -685,11 +685,6 @@ impl Harness {
                         }
                         FaultOutcome::Drop => {}
                         FaultOutcome::Delay => self.delayed.push(self.now + nper, n),
-                        // Partition cuts are deterministic topology state,
-                        // never a random per-delivery draw.
-                        FaultOutcome::Partitioned => {
-                            unreachable!("outcome() never draws Partitioned")
-                        }
                     }
                 }
                 self.cluster.purge_queries(self.now);

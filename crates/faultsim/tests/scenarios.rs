@@ -475,7 +475,7 @@ fn reliable_runs_are_deterministic_and_record_retries() {
 fn duplicates_and_delays_on_all_classes_are_absorbed() {
     let plan = FaultPlan::uniform(FaultSpec { drop_prob: 0.0, dup_prob: 0.2, delay_prob: 0.2 });
     let report = assert_clean(57, ScenarioConfig::default().with_class_faults(plan));
-    assert!(report.reliability.dups_suppressed > 0, "duplicates must hit the dedup cache");
+    assert!(report.reliability.dups_suppressed > 0, "duplicates must be suppressed");
     assert!(report.reliability.redeliveries > 0, "delays must park redeliveries");
 }
 

@@ -111,123 +111,6 @@ pub enum FaultOutcome {
     /// on the receiver is parked until the receiver's next refresh tick
     /// drains the queue.
     Delay,
-    /// Suppressed by an armed [`PartitionPlan`]: sender and receiver sit on
-    /// different islands. Never produced by [`FaultSpec::outcome`] (a
-    /// partition is deterministic set membership, not a random draw), so
-    /// the counter distinguishing it from `Drop` in `Metrics` stays exact.
-    Partitioned,
-}
-
-/// A scheduled network partition: between two NPER rounds the node
-/// population is cut into islands, and any delivery whose endpoints sit on
-/// different islands is suppressed with [`FaultOutcome::Partitioned`].
-///
-/// Sides are node *indices* (into the driver's initial node order), taken
-/// modulo the live population at arm time like every other scheduled
-/// event. `islands[k]` lists the members of side `k + 1`; every index not
-/// listed belongs to side 0 — so a two-way split is one list and a
-/// three-way split two lists.
-///
-/// The plan is pure set membership: arming it draws **zero** RNG values
-/// (suppression is deterministic), so a disarmed plan leaves seeded runs
-/// byte-identical and an armed one never shifts the fault-draw sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionPlan {
-    /// Minority sides: `islands[k]` holds the node indices of side `k + 1`.
-    /// Unlisted indices form side 0 (the implicit majority).
-    pub islands: Vec<Vec<u32>>,
-    /// NPER round (0-based, counted over the schedule's `Notify` events)
-    /// *before* which the split fires.
-    pub split_round: u32,
-    /// NPER round before which the partition heals. Must exceed
-    /// `split_round`; rounds in `[split_round, heal_round)` run split.
-    pub heal_round: u32,
-}
-
-impl Serialize for PartitionPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("islands".to_string(), self.islands.to_value()),
-            ("split_round".to_string(), self.split_round.to_value()),
-            ("heal_round".to_string(), self.heal_round.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PartitionPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(PartitionPlan {
-            islands: Deserialize::from_value(serde::field(v, "islands", "PartitionPlan")?)?,
-            split_round: Deserialize::from_value(serde::field(v, "split_round", "PartitionPlan")?)?,
-            heal_round: Deserialize::from_value(serde::field(v, "heal_round", "PartitionPlan")?)?,
-        })
-    }
-}
-
-impl PartitionPlan {
-    /// Number of sides the split produces (the implicit side 0 plus one
-    /// per explicit island).
-    pub fn num_sides(&self) -> usize {
-        self.islands.len() + 1
-    }
-
-    /// The side a node index belongs to: the explicit island listing it,
-    /// or side 0 when unlisted.
-    pub fn side_of(&self, idx: u32) -> usize {
-        for (k, island) in self.islands.iter().enumerate() {
-            if island.contains(&idx) {
-                return k + 1;
-            }
-        }
-        0
-    }
-
-    /// Whether the partition severs a delivery between two sides.
-    pub fn severs(&self, side_a: usize, side_b: usize) -> bool {
-        side_a != side_b
-    }
-
-    /// Whether the plan is split (not yet healed) at NPER round `round`.
-    pub fn active_at(&self, round: u32) -> bool {
-        (self.split_round..self.heal_round).contains(&round)
-    }
-
-    /// Validates the plan, returning the first problem found.
-    pub fn try_validate(&self) -> Result<(), String> {
-        if self.islands.is_empty() {
-            return Err("partition plan needs at least one explicit island".to_string());
-        }
-        if self.heal_round <= self.split_round {
-            return Err(format!(
-                "partition heals at round {} but splits at round {}",
-                self.heal_round, self.split_round
-            ));
-        }
-        let mut seen = Vec::new();
-        for island in &self.islands {
-            if island.is_empty() {
-                return Err("partition islands must be non-empty".to_string());
-            }
-            for &idx in island {
-                if seen.contains(&idx) {
-                    return Err(format!("node index {idx} appears on two islands"));
-                }
-                seen.push(idx);
-            }
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`PartitionPlan::try_validate`].
-    ///
-    /// # Panics
-    /// Panics on overlapping islands, an empty island list, or a heal
-    /// round that does not follow the split round.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
 }
 
 /// Fault probabilities for the whole message taxonomy: a default
@@ -363,7 +246,6 @@ mod tests {
                 FaultOutcome::Duplicate => counts[1] += 1,
                 FaultOutcome::Delay => counts[2] += 1,
                 FaultOutcome::Deliver => counts[3] += 1,
-                FaultOutcome::Partitioned => unreachable!("outcome() never draws Partitioned"),
             }
         }
         let frac = |c: u32| c as f64 / n as f64;
@@ -489,58 +371,6 @@ mod tests {
             ["null"; NUM_CLASSES + 1].join(", ")
         );
         assert!(serde_json::from_str::<FaultPlan>(&overlong).is_err());
-    }
-
-    #[test]
-    fn partition_plan_sides_and_schedule() {
-        let plan =
-            PartitionPlan { islands: vec![vec![1, 4], vec![2]], split_round: 3, heal_round: 6 };
-        plan.validate();
-        assert_eq!(plan.num_sides(), 3);
-        assert_eq!(plan.side_of(0), 0);
-        assert_eq!(plan.side_of(1), 1);
-        assert_eq!(plan.side_of(4), 1);
-        assert_eq!(plan.side_of(2), 2);
-        assert_eq!(plan.side_of(99), 0);
-        assert!(plan.severs(0, 1));
-        assert!(!plan.severs(2, 2));
-        assert!(!plan.active_at(2));
-        assert!(plan.active_at(3));
-        assert!(plan.active_at(5));
-        assert!(!plan.active_at(6));
-    }
-
-    #[test]
-    fn partition_plan_rejects_bad_shapes() {
-        let overlap =
-            PartitionPlan { islands: vec![vec![1], vec![1]], split_round: 0, heal_round: 1 };
-        assert!(overlap.try_validate().unwrap_err().contains("two islands"));
-        let backwards = PartitionPlan { islands: vec![vec![1]], split_round: 4, heal_round: 4 };
-        assert!(backwards.try_validate().unwrap_err().contains("heals at round"));
-        let hollow = PartitionPlan { islands: vec![vec![]], split_round: 0, heal_round: 1 };
-        assert!(hollow.try_validate().unwrap_err().contains("non-empty"));
-        let none = PartitionPlan { islands: vec![], split_round: 0, heal_round: 1 };
-        assert!(none.try_validate().unwrap_err().contains("at least one"));
-    }
-
-    #[test]
-    fn partition_plan_round_trips_through_serde() {
-        let plan =
-            PartitionPlan { islands: vec![vec![0, 3], vec![7]], split_round: 2, heal_round: 5 };
-        let json = serde_json::to_string(&plan).expect("serialize");
-        let back: PartitionPlan = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn outcome_never_draws_partitioned() {
-        // Partition suppression is set membership, not chance: no spec can
-        // roll a `Partitioned` outcome, whatever the probabilities.
-        let spec = FaultSpec { drop_prob: 0.4, dup_prob: 0.3, delay_prob: 0.3 };
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..2000 {
-            assert_ne!(spec.outcome(&mut rng), FaultOutcome::Partitioned);
-        }
     }
 
     proptest! {

@@ -7,11 +7,11 @@
 //! * [`time::SimTime`] — virtual clock in milliseconds;
 //! * [`engine::Engine`] — binary-heap event queue with FIFO tie-breaking;
 //! * [`poisson::PoissonArrivals`] — query arrival process;
-//! * [`net`] — the 50 ms/hop cost constants;
-//! * [`faults`] — seeded drop/duplicate/delay fault injection, per-class
-//!   [`faults::FaultPlan`]s, scheduled [`faults::PartitionPlan`] splits,
-//!   and the [`engine::DelayQueue`] re-delivery pen;
-//! * [`latency::LatencyModel`] — configurable per-hop delay distributions;
+//! * [`net::HOP_DELAY_MS`] — the paper's constant 50 ms per overlay hop;
+//! * [`faults`] — seeded drop/duplicate/delay fault injection and
+//!   per-class [`faults::FaultPlan`]s (partitions are topology cuts made
+//!   by the ring, not faults drawn here), plus the [`engine::DelayQueue`]
+//!   re-delivery pen;
 //! * [`metrics`] — per-node load components (Fig. 6), per-event message
 //!   overhead (Fig. 7) and hop counts (Fig. 8), its per-node counters
 //!   keyed through the private `nodehash` hasher.
@@ -25,7 +25,6 @@
 
 pub mod engine;
 pub mod faults;
-pub mod latency;
 pub mod metrics;
 pub mod net;
 mod nodehash;
@@ -33,9 +32,8 @@ pub mod poisson;
 pub mod time;
 
 pub use engine::{DelayQueue, Engine};
-pub use faults::{FaultOutcome, FaultPlan, FaultSpec, PartitionPlan};
-pub use latency::LatencyModel;
+pub use faults::{FaultOutcome, FaultPlan, FaultSpec};
 pub use metrics::{Histogram, InputEvent, Metrics, MsgClass, NUM_CLASSES};
-pub use net::{delivery_delay_ms, path_delay_ms, HOP_DELAY_MS};
+pub use net::HOP_DELAY_MS;
 pub use poisson::PoissonArrivals;
 pub use time::SimTime;

@@ -302,8 +302,8 @@ impl Metrics {
         self.redeliveries[class.index()] += 1;
     }
 
-    /// Records a duplicate copy of `class` suppressed by the receiver's
-    /// dedup cache (the original is charged normally; the duplicate is
+    /// Records a duplicate copy of `class` suppressed by the receiver
+    /// (the original is charged normally; the duplicate is
     /// accounted here and nowhere else).
     pub fn record_dup_suppressed(&mut self, class: MsgClass) {
         self.dups_suppressed[class.index()] += 1;

@@ -7,33 +7,3 @@
 
 /// Per-overlay-hop delay in milliseconds (the paper's constant).
 pub const HOP_DELAY_MS: u64 = 50;
-
-/// Delivery latency of a message that traverses `hops` overlay hops.
-#[inline]
-pub fn delivery_delay_ms(hops: u32) -> u64 {
-    hops as u64 * HOP_DELAY_MS
-}
-
-/// Latency of a routed path (origin .. destination inclusive).
-#[inline]
-pub fn path_delay_ms(path_len: usize) -> u64 {
-    delivery_delay_ms(path_len.saturating_sub(1) as u32)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_hops_is_instant() {
-        assert_eq!(delivery_delay_ms(0), 0);
-        assert_eq!(path_delay_ms(1), 0);
-        assert_eq!(path_delay_ms(0), 0);
-    }
-
-    #[test]
-    fn fifty_ms_per_hop() {
-        assert_eq!(delivery_delay_ms(3), 150);
-        assert_eq!(path_delay_ms(4), 150);
-    }
-}

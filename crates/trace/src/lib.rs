@@ -13,10 +13,10 @@
 //! - [`stats`] — exact, mergeable latency/hop percentiles per message
 //!   class ([`QuantileBuffer`], [`TraceStats`], [`TraceSummary`]);
 //! - [`export`] — JSONL and chrome://tracing `trace_event` timelines;
-//! - [`audit`] — reconstruction oracles: rebuild `Metrics`-equivalent
-//!   counters and multicast delivery sets from the trace alone, so the
-//!   conformance suite can demand bit-for-bit agreement with the live
-//!   counters and brute-force owner sets.
+//! - [`audit`](mod@audit) — reconstruction oracles: rebuild
+//!   `Metrics`-equivalent counters and multicast delivery sets from the
+//!   trace alone, so the conformance suite can demand bit-for-bit
+//!   agreement with the live counters and brute-force owner sets.
 //!
 //! This crate deliberately sits at the bottom of the workspace (serde
 //! only) so `chord`, `simnet`, and `core` can all thread tracing through

@@ -8,7 +8,7 @@
 //! chain therefore terminates at the event that caused it — this is the
 //! causality invariant the conformance suite checks.
 //!
-//! The `class` field is the [`dsi_simnet::MsgClass`] *index* (a `u8`), not
+//! The `class` field is the `dsi_simnet::MsgClass` *index* (a `u8`), not
 //! the enum itself: this crate sits below `simnet` in the dependency graph
 //! so that `chord` can also use it. Callers pass `MsgClass::index() as u8`
 //! and map back with `MsgClass::from_index` when rendering.

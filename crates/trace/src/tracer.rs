@@ -12,8 +12,8 @@ use crate::record::{Cursor, MsgId, MulticastMeta, RecordKind, TraceRecord};
 use std::collections::VecDeque;
 
 /// Analytic per-hop latency used to stamp `recv_ms`, mirroring
-/// `dsi_simnet::net::HOP_DELAY_MS`. Kept as a tracer field (not a direct
-/// dependency) so this crate stays below `simnet` in the crate graph.
+/// `dsi_simnet::HOP_DELAY_MS`. Restated here (not imported) so this crate
+/// stays below `simnet` in the crate graph.
 pub const DEFAULT_HOP_MS: u64 = 50;
 
 /// Result of tracing a full route path: the root origin record plus a
@@ -33,7 +33,6 @@ pub struct RouteTrace {
 pub struct Tracer {
     enabled: bool,
     capacity: usize,
-    hop_ms: u64,
     now_ms: u64,
     next_id: u64,
     dropped: u64,
@@ -48,7 +47,6 @@ impl Tracer {
         Tracer {
             enabled: false,
             capacity: 0,
-            hop_ms: DEFAULT_HOP_MS,
             now_ms: 0,
             next_id: 0,
             dropped: 0,
@@ -115,12 +113,6 @@ impl Tracer {
     #[inline]
     pub fn now_ms(&self) -> u64 {
         self.now_ms
-    }
-
-    /// Per-hop latency added to `recv_ms` at every [`Tracer::hop`].
-    #[inline]
-    pub fn hop_ms(&self) -> u64 {
-        self.hop_ms
     }
 
     /// Number of records evicted by the ring bound since the last clear.
@@ -211,7 +203,7 @@ impl Tracer {
             return Cursor { id: MsgId(u64::MAX), depth: parent.depth + 1, at_ms: parent.at_ms };
         }
         let sent = parent.at_ms;
-        let recv = sent + self.hop_ms;
+        let recv = sent + DEFAULT_HOP_MS;
         let depth = parent.depth + 1;
         let id = self.fresh_id();
         self.push(TraceRecord {
