@@ -11,6 +11,10 @@
 //!   (requires a predecessor primitive). Same message count, roughly half
 //!   the propagation depth — the §VI-B improvement.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::id::ChordId;
 use crate::router::ContentRouter;
 use dsi_trace::{Cursor, MsgId, Tracer};
@@ -108,11 +112,14 @@ impl MulticastPlan {
             .forward_edges()
             .into_iter()
             .map(|(from, to)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "plan construction adds a delivery per edge target"
+                )]
                 let hops = self
                     .deliveries
                     .iter()
                     .find(|d| d.node == to)
-                    // dsilint: allow(hot-path-unwrap, plan construction adds a delivery per edge target)
                     .expect("forward edges point at deliveries")
                     .hops;
                 (from, to, hops)
@@ -165,11 +172,11 @@ impl MulticastPlan {
         let rt = tracer.route(&self.route_path, base, transit, true)?;
         let mut reached: Vec<(ChordId, Cursor)> = vec![(self.entry, rt.tail)];
         for (from, to, _) in self.causal_forwards() {
+            #[expect(clippy::expect_used, reason = "forwards are emitted in causal order by build")]
             let parent = reached
                 .iter()
                 .find(|(node, _)| *node == from)
                 .map(|(_, c)| *c)
-                // dsilint: allow(hot-path-unwrap, forwards are emitted in causal order by build)
                 .expect("causal forwards visit senders before their edges");
             let cur = tracer.hop(parent, internal, from, to, Some(internal));
             reached.push((to, cur));
@@ -189,7 +196,7 @@ pub fn covering_nodes<R: ContentRouter>(ring: &R, lo: ChordId, hi: ChordId) -> V
         return Vec::new();
     }
     let space = ring.space();
-    // dsilint: allow(hot-path-unwrap, is_empty checked on entry)
+    #[expect(clippy::expect_used, reason = "is_empty checked on entry")]
     let first = ring.ideal_successor(lo).expect("non-empty ring");
     let width = space.distance_cw(lo, hi);
     let mut out = vec![first];
@@ -198,8 +205,9 @@ pub fn covering_nodes<R: ContentRouter>(ring: &R, lo: ChordId, hi: ChordId) -> V
     // clockwise from `lo` (that node owns the tail of the range). The length
     // guard handles ranges that wrap around more nodes than exist.
     while space.distance_cw(lo, cur) < width && out.len() < ring.len() {
-        // dsilint: allow(hot-path-unwrap, is_empty checked on entry)
-        cur = ring.ideal_successor(space.add(cur, 1)).expect("non-empty ring");
+        #[expect(clippy::expect_used, reason = "is_empty checked on entry")]
+        let next = ring.ideal_successor(space.add(cur, 1)).expect("non-empty ring");
+        cur = next;
         out.push(cur);
     }
     out
@@ -220,15 +228,17 @@ pub fn covering_nodes_from<R: ContentRouter>(
         return Vec::new();
     }
     let space = ring.space();
-    // dsilint: allow(hot-path-unwrap, origin is live, so its side is non-empty)
+    #[expect(clippy::expect_used, reason = "origin is live, so its side is non-empty")]
     let first = ring.ideal_successor_from(origin, lo).expect("origin's side is non-empty");
     let width = space.distance_cw(lo, hi);
     let mut out = vec![first];
     let mut cur = first;
     while space.distance_cw(lo, cur) < width {
-        let next = ring.ideal_successor_from(origin, space.add(cur, 1));
-        // dsilint: allow(hot-path-unwrap, origin is live, so its side is non-empty)
-        cur = next.expect("origin's side is non-empty");
+        #[expect(clippy::expect_used, reason = "origin is live, so its side is non-empty")]
+        let next = ring
+            .ideal_successor_from(origin, space.add(cur, 1))
+            .expect("origin's side is non-empty");
+        cur = next;
         if cur == first {
             // Wrapped: every node origin can reach already covers the range.
             break;
@@ -287,10 +297,13 @@ pub fn multicast<R: ContentRouter>(
             let route = ring.route(origin, mid_key);
             let route_hops = route.hops();
             let entry = route.owner;
+            #[expect(
+                clippy::expect_used,
+                reason = "members = covering_nodes(lo..hi) and mid_key is inside"
+            )]
             let entry_idx = members
                 .iter()
                 .position(|&n| n == entry)
-                // dsilint: allow(hot-path-unwrap, members = covering_nodes(lo..hi) and mid_key is inside)
                 .expect("successor of a key inside the range covers the range");
             let deliveries = members
                 .iter()
@@ -472,7 +485,7 @@ pub fn multicast_with_failover<R: ContentRouter>(
                 entry_choice = Some((i, route));
                 break;
             }
-            _ => {}
+            HopOutcome::Deliver | HopOutcome::DeliverLate | HopOutcome::Fail => {}
         }
     }
 

@@ -9,6 +9,10 @@
 //! [`crate::pastry::PastryNet`] both implement it, and the middleware is
 //! generic over it.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::id::{ChordId, IdSpace};
 use crate::ring::Lookup;
 

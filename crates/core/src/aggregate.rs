@@ -12,6 +12,10 @@
 //! the advertised error widens by the uncovered population fraction when
 //! faults keep some replicas out of the round.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::query::QueryId;
 use dsi_chord::ChordId;
 use dsi_simnet::SimTime;

@@ -92,7 +92,10 @@ impl<R: ContentRouter> StreamIndex<R> {
 
     /// Fig. 5: one-time `subscribe(inner_product)` — a continuous weighted
     /// inner product over one stream, optionally alerting.
-    #[allow(clippy::too_many_arguments)] // mirrors the paper's quadruple + routing context
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the paper's quadruple + routing context"
+    )]
     pub fn subscribe_inner_product(
         &mut self,
         client_idx: usize,

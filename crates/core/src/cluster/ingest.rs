@@ -307,7 +307,7 @@ impl<R: ContentRouter> Cluster<R> {
         let (lo, hi) = interval_key_range(self.space, lo_v.clamp(-1.0, 1.0), hi_v.clamp(-1.0, 1.0));
         let sent = self.send_range(&MBR_RANGE, home, lo, hi, now);
         if let (Some(coverage), true) = (sent.coverage, self.measuring) {
-            self.metrics.record_coverage(coverage);
+            self.ledger.record_coverage(coverage);
         }
         let expires = now + self.cfg.workload.bspan_ms;
         let effect = PendingEffect::StoreMbr(StoredMbr { stream, mbr, origin: home, expires });

@@ -99,7 +99,7 @@ impl<R: ContentRouter> Cluster<R> {
             .values()
             .filter_map(|q| match q {
                 QueryRuntime::Similarity(sq) => Some(sq.clone()),
-                _ => None,
+                QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
         sims.sort_unstable_by_key(|q| q.id);
@@ -195,7 +195,7 @@ impl Cluster<Ring> {
                         self.ring.ideal_successor_from(sq.client, mid).expect("non-empty ring"),
                     ))
                 }
-                _ => None,
+                QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
         // Repair in query-id order so recovery replays byte-identically.
@@ -265,9 +265,7 @@ impl Cluster<Ring> {
             let list = self.homed.entry(home).or_default();
             list.insert(list.partition_point(|&s| s < stream), stream);
         }
-        if self.tracer.is_enabled() {
-            self.tracer.set_now_ms(now.as_ms());
-        }
+        self.ledger.stamp(now);
         self.put_location_unjudged(stream);
     }
 
@@ -354,9 +352,7 @@ impl Cluster<Ring> {
         if new_ids.is_empty() {
             return None;
         }
-        if self.tracer.is_enabled() {
-            self.tracer.set_now_ms(now.as_ms());
-        }
+        self.ledger.stamp(now);
         // Hand the new identifiers the live state of their intervals; the
         // expiry filter keeps purged records purged.
         self.repair_coverage(now);

@@ -133,12 +133,9 @@ pub struct Cluster<R: ContentRouter = Ring> {
     location_cache_hits: u64,
     /// Location-service lookups that found no record (lost to churn).
     location_misses: u64,
-    metrics: Metrics,
+    /// Metrics and the causal tracer, writable only by the send seam.
+    ledger: send::Ledger,
     measuring: bool,
-    /// Causal message tracer (disabled by default; see `dsi-trace`). Records
-    /// exactly the overlay messages `metrics` counts, as parent-linked
-    /// chains, whenever both measurement and tracing are on.
-    tracer: Tracer,
     /// Whether churn operations re-establish range replication (§VII);
     /// disabled it models pure soft-state coverage holes.
     repair_on_churn: bool,
@@ -249,9 +246,8 @@ impl<R: BuildRouter> Cluster<R> {
             location_cache: HashMap::new(),
             location_cache_hits: 0,
             location_misses: 0,
-            metrics: Metrics::new(),
+            ledger: send::Ledger::new(),
             measuring: false,
-            tracer: Tracer::disabled(),
             repair_on_churn: true,
             stabilization_enabled: true,
             next_query: 1,
@@ -323,7 +319,7 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.ledger.metrics()
     }
 
     /// Quality counters (candidates vs verified matches).
@@ -358,8 +354,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// including any captured trace, so trace and metrics describe the same
     /// measurement window.
     pub fn start_measurement(&mut self) {
-        self.metrics.reset();
-        self.tracer.clear();
+        self.ledger.reset();
         self.measuring = true;
     }
 
@@ -375,12 +370,12 @@ impl<R: ContentRouter> Cluster<R> {
     /// the conformance suite reconciles the two bit-for-bit. Off by
     /// default: the instrumented paths then cost a single branch.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer.enable(capacity);
+        self.ledger.enable_tracing(capacity);
     }
 
     /// The causal tracer (records, multicast metadata, drop counter).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.ledger.tracer()
     }
 
     /// Sets the trace clock. Entry points that take a `now` argument stamp
@@ -388,7 +383,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// not ([`Cluster::rebalance_replicas`] via churn, registration) so
     /// their records carry the right simulated time.
     pub fn set_trace_time(&mut self, now: SimTime) {
-        self.tracer.set_now_ms(now.as_ms());
+        self.ledger.set_trace_time(now);
     }
 
     /// Installs a per-class fault plan and arms the reliability layer
@@ -562,7 +557,7 @@ impl<R: ContentRouter> Cluster<R> {
                 (
                     id,
                     self.physical_of(id),
-                    self.metrics.node_message_count(id),
+                    self.ledger.metrics().node_message_count(id),
                     dc.mbr_count() as u64,
                     dc.subscription_count() as u64,
                 )

@@ -98,9 +98,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// candidates and push a response to the client. Inner-product
     /// subscriptions sourced here push their current value.
     pub fn notify_cycle(&mut self, node: ChordId, now: SimTime) {
-        if self.tracer.is_enabled() {
-            self.tracer.set_now_ms(now.as_ms());
-        }
+        self.ledger.stamp(now);
         // Delayed messages re-deliver at the receiver's refresh tick,
         // before this cycle's purge (a late copy of expired state is
         // dropped inside the drain).
@@ -157,7 +155,7 @@ impl<R: ContentRouter> Cluster<R> {
                 QueryRuntime::Similarity(sq) if sq.aggregator == node && !sq.expired(now) => {
                     Some(sq.clone())
                 }
-                _ => None,
+                QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
         // Id order, not HashMap order: response traffic (and its causal
@@ -334,7 +332,7 @@ impl<R: ContentRouter> Cluster<R> {
                 QueryRuntime::Similarity(sq) if sq.aggregator != answered && !sq.expired(now) => {
                     Some(sq)
                 }
-                _ => None,
+                QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
         live.sort_unstable_by_key(|q| q.id);

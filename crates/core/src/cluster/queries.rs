@@ -161,9 +161,7 @@ impl<R: ContentRouter> Cluster<R> {
         mut q: InnerProductQuery,
         now: SimTime,
     ) -> QueryId {
-        if self.tracer.is_enabled() {
-            self.tracer.set_now_ms(now.as_ms());
-        }
+        self.ledger.stamp(now);
         let id = self.next_query;
         self.next_query += 1;
         q.id = id;

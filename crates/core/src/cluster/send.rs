@@ -1,6 +1,8 @@
 //! The one send seam of [`Cluster`]: every overlay message is judged,
 //! ledgered, charged, traced and applied (or parked) here and nowhere else
-//! in `crates/core` (dsilint S01 checks the "nowhere else").
+//! in `crates/core`. The "nowhere else" is rustc privacy: [`Metrics`] and
+//! the [`Tracer`] live in this module's [`Ledger`], whose fields no other
+//! module can reach.
 //!
 //! The paper's middleware sends through three content-routing shapes, and
 //! the seam has one entry point per shape:
@@ -55,6 +57,58 @@ use dsi_chord::{
 };
 use dsi_simnet::{InputEvent, Metrics, MsgClass, SimTime};
 use dsi_trace::Tracer;
+
+/// The cluster's message ledger: [`Metrics`] and the causal [`Tracer`].
+/// Its fields are private to the send seam, so only this module can charge
+/// or trace a message; the rest of [`Cluster`] reads both and calls the
+/// narrow methods below.
+pub(super) struct Ledger {
+    metrics: Metrics,
+    /// Disabled by default (see `dsi-trace`). Records exactly the overlay
+    /// messages `metrics` counts, as parent-linked chains, whenever both
+    /// measurement and tracing are on.
+    tracer: Tracer,
+}
+
+impl Ledger {
+    pub(super) fn new() -> Self {
+        Ledger { metrics: Metrics::new(), tracer: Tracer::disabled() }
+    }
+
+    pub(super) fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    pub(super) fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Opens a new measurement window: clears the counters and the trace.
+    pub(super) fn reset(&mut self) {
+        self.metrics.reset();
+        self.tracer.clear();
+    }
+
+    pub(super) fn enable_tracing(&mut self, capacity: usize) {
+        self.tracer.enable(capacity);
+    }
+
+    pub(super) fn set_trace_time(&mut self, now: SimTime) {
+        self.tracer.set_now_ms(now.as_ms());
+    }
+
+    /// Sets the trace clock to `now` if tracing is on.
+    pub(super) fn stamp(&mut self, now: SimTime) {
+        if self.tracer.is_enabled() {
+            self.set_trace_time(now);
+        }
+    }
+
+    /// Records one achieved-coverage sample.
+    pub(super) fn record_coverage(&mut self, coverage: f64) {
+        self.metrics.record_coverage(coverage);
+    }
+}
 
 /// What became of one logical message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,8 +188,7 @@ pub(super) struct RangeDelivery {
 struct Wire<'a, R> {
     ring: &'a R,
     rel: Option<&'a mut ReliabilityState>,
-    metrics: &'a mut Metrics,
-    tracer: &'a mut Tracer,
+    ledger: &'a mut Ledger,
     measuring: bool,
 }
 
@@ -148,8 +201,8 @@ impl<R: ContentRouter> Wire<'_, R> {
     fn judge(&mut self, class: MsgClass, link: Option<(ChordId, ChordId)>) -> Delivery {
         if link.is_some_and(|(from, to)| !self.ring.reachable(from, to)) {
             if self.measuring {
-                self.metrics.record_partition_suppressed(class);
-                self.tracer.note_suppressed(class.index() as u8);
+                self.ledger.metrics.record_partition_suppressed(class);
+                self.ledger.tracer.note_suppressed(class.index() as u8);
             }
             return Delivery::Dropped;
         }
@@ -157,20 +210,20 @@ impl<R: ContentRouter> Wire<'_, R> {
         let res = rel.resolve(class);
         if self.measuring {
             for _ in 0..res.retries {
-                self.metrics.record_retry(class);
+                self.ledger.metrics.record_retry(class);
             }
             if res.dup_suppressed {
-                self.metrics.record_dup_suppressed(class);
+                self.ledger.metrics.record_dup_suppressed(class);
             }
             // Send-conservation ledger: every decided send is either
             // delivered (late counts — the payload arrives) or lost.
             match res.verdict {
-                DeliveryVerdict::Deliver => self.metrics.record_send_delivered(class),
+                DeliveryVerdict::Deliver => self.ledger.metrics.record_send_delivered(class),
                 DeliveryVerdict::Late => {
-                    self.metrics.record_redelivery(class);
-                    self.metrics.record_send_delivered(class);
+                    self.ledger.metrics.record_redelivery(class);
+                    self.ledger.metrics.record_send_delivered(class);
                 }
-                DeliveryVerdict::Lost => self.metrics.record_send_lost(class),
+                DeliveryVerdict::Lost => self.ledger.metrics.record_send_lost(class),
             }
         }
         match res.verdict {
@@ -186,8 +239,7 @@ impl<R: ContentRouter> Cluster<R> {
         Wire {
             ring: &self.ring,
             rel: self.reliability.as_mut(),
-            metrics: &mut self.metrics,
-            tracer: &mut self.tracer,
+            ledger: &mut self.ledger,
             measuring: self.measuring,
         }
     }
@@ -196,9 +248,9 @@ impl<R: ContentRouter> Cluster<R> {
     pub(super) fn send_hop(&mut self, class: MsgClass, from: ChordId, to: ChordId) -> Delivery {
         let how = self.wire().judge(class, Some((from, to)));
         if how.arrived() && self.measuring {
-            self.metrics.record_message(class, from, to);
-            self.metrics.record_hops(class, 1);
-            self.tracer.single(class.index() as u8, from, to);
+            self.ledger.metrics.record_message(class, from, to);
+            self.ledger.metrics.record_hops(class, 1);
+            self.ledger.tracer.single(class.index() as u8, from, to);
         }
         how
     }
@@ -249,11 +301,11 @@ impl<R: ContentRouter> Cluster<R> {
             return;
         }
         if let Some(event) = event {
-            self.metrics.record_event(event);
-            self.metrics.record_hops(base, path.len().saturating_sub(1) as u32);
+            self.ledger.metrics.record_event(event);
+            self.ledger.metrics.record_hops(base, path.len().saturating_sub(1) as u32);
         }
-        self.metrics.record_route(base, transit, path);
-        self.tracer.route(path, base.index() as u8, transit.index() as u8, event.is_some());
+        self.ledger.metrics.record_route(base, transit, path);
+        self.ledger.tracer.route(path, base.index() as u8, transit.index() as u8, event.is_some());
     }
 
     /// Multicasts one message from `origin` to every node covering a key in
@@ -270,7 +322,7 @@ impl<R: ContentRouter> Cluster<R> {
         now: SimTime,
     ) -> RangeDelivery {
         if self.measuring {
-            self.metrics.record_event(classes.event);
+            self.ledger.metrics.record_event(classes.event);
         }
         let strategy = self.cfg.strategy;
         if self.reliability.is_none() {
@@ -311,21 +363,23 @@ impl<R: ContentRouter> Cluster<R> {
             return;
         }
         let RangeClasses { route: RouteClasses { base, transit }, forward, .. } = *classes;
-        self.metrics.record_route(base, transit, &plan.route_path);
-        self.metrics.record_hops(base, plan.route_hops);
+        self.ledger.metrics.record_route(base, transit, &plan.route_path);
+        self.ledger.metrics.record_hops(base, plan.route_hops);
         for (from, to) in plan.iter_forward_edges() {
-            self.metrics.record_message(forward, from, to);
+            self.ledger.metrics.record_message(forward, from, to);
         }
         for d in plan.deliveries.iter().filter(|d| d.node != plan.entry) {
-            self.metrics.record_hops(forward, d.hops);
+            self.ledger.metrics.record_hops(forward, d.hops);
         }
-        if self.tracer.is_enabled() {
-            self.tracer.set_now_ms(now.as_ms());
+        if self.ledger.tracer.is_enabled() {
+            self.ledger.set_trace_time(now);
             let (base, transit, forward) =
                 (base.index() as u8, transit.index() as u8, forward.index() as u8);
             match complete {
-                Some((lo, hi)) => plan.trace_into(&mut self.tracer, base, transit, forward, lo, hi),
-                None => plan.trace_tree_into(&mut self.tracer, base, transit, forward),
+                Some((lo, hi)) => {
+                    plan.trace_into(&mut self.ledger.tracer, base, transit, forward, lo, hi)
+                }
+                None => plan.trace_tree_into(&mut self.ledger.tracer, base, transit, forward),
             };
         }
     }
@@ -460,7 +514,7 @@ impl<R: ContentRouter> Cluster<R> {
         }
         self.query_coverage.insert(id, coverage);
         if self.measuring {
-            self.metrics.record_coverage(coverage);
+            self.ledger.record_coverage(coverage);
         }
     }
 }

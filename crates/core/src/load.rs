@@ -19,6 +19,10 @@
 //! routing and the Eq. 6 covering sets stay correct because the virtual
 //! identifiers are full ring members joined through the ordinary protocol.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use dsi_trace::QuantileBuffer;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -54,7 +54,7 @@ pub struct SimilarityQuery {
 
 impl SimilarityQuery {
     /// Builds a query from a raw target sequence.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the query's fields plus its routing context")]
     pub fn from_target(
         id: QueryId,
         client: ChordId,

@@ -23,6 +23,10 @@
 //! as a latency model the report layer can surface.  This keeps retries
 //! from perturbing the deterministic NPER schedule.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use dsi_chord::ChordId;
 use dsi_simnet::{FaultOutcome, FaultPlan, MsgClass, SimTime, HOP_DELAY_MS};
 use rand::rngs::StdRng;

@@ -35,6 +35,10 @@
 //! (DESIGN.md §9). The keys and the index are kept for the benchmark's
 //! layer replay and as the building block of multi-coefficient ring keys.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use serde::{Deserialize, Serialize};
 
 /// Monotone `f64 -> u32` encoding: order-preserving on every non-NaN value

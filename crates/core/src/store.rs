@@ -12,6 +12,10 @@
 //! [`StoredMbr`] stays the wire/transport representation (replication
 //! messages, traces, serialized audits) and converts losslessly both ways.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::datacenter::StoredMbr;
 use crate::query::StreamId;
 use dsi_chord::ChordId;

@@ -67,8 +67,8 @@ use crate::scenario::{AggregatesConfig, FaultEvent, LoadBound, Scenario, Scenari
 use dsi_chord::{covering_nodes, multicast, ChordId, Ring};
 use dsi_core::{
     quantize, radius_key_range, AggregateKind, AggregateNotification, AggregateSpec,
-    AggregateValue, Cluster, ClusterConfig, LoadBalanceReport, QueryId, ReliabilityReport,
-    SimilarityQuery, SketchDims, StoredMbr, StreamId,
+    AggregateValue, Cluster, ClusterConfig, DataCenter, LoadBalanceReport, QueryId,
+    ReliabilityReport, SimilarityQuery, SketchDims, StoredMbr, StreamId,
 };
 use dsi_simnet::{DelayQueue, FaultOutcome, MsgClass, SimTime, NUM_CLASSES};
 use dsi_streamgen::{CorrelatedWalks, TenantLedger, ZipfSampler};
@@ -1386,31 +1386,77 @@ impl Harness {
     /// Oracle 5: a notify round actually purged expired state on every node
     /// whose cycle ran.
     fn oracle_purge(&self) -> Option<String> {
-        for &n in &self.notified {
-            let dc = self.cluster.node(n);
-            if let Some(s) = dc.summaries().find(|s| self.now >= s.expires) {
-                return Some(format!(
-                    "node {n} still stores MBR of stream {} expired at {} (now {})",
-                    s.stream,
-                    s.expires.as_ms(),
-                    self.now.as_ms()
-                ));
-            }
-            if let Some(q) = dc.all_subscriptions().find(|q| q.expired(self.now)) {
-                return Some(format!(
-                    "node {n} still holds similarity subscription {} expired at {}",
-                    q.id,
-                    q.expires.as_ms()
-                ));
-            }
-            if let Some(q) = dc.all_ip_subscriptions().find(|q| q.expired(self.now)) {
-                return Some(format!(
-                    "node {n} still holds inner-product subscription {} expired at {}",
-                    q.id,
-                    q.expires.as_ms()
-                ));
-            }
-        }
-        None
+        self.notified.iter().find_map(|&n| unpurged_state(n, self.cluster.node(n), self.now))
+    }
+}
+
+/// Oracle 5 on one node: the first expired record `dc` still holds at
+/// `now`. Subscriptions are reported lowest id first, not in hash-map
+/// order, so every run of one seed reports the same violation detail.
+fn unpurged_state(n: ChordId, dc: &DataCenter, now: SimTime) -> Option<String> {
+    if let Some(s) = dc.summaries().find(|s| now >= s.expires) {
+        return Some(format!(
+            "node {n} still stores MBR of stream {} expired at {} (now {})",
+            s.stream,
+            s.expires.as_ms(),
+            now.as_ms()
+        ));
+    }
+    if let Some(q) = dc.all_subscriptions().filter(|q| q.expired(now)).min_by_key(|q| q.id) {
+        return Some(format!(
+            "node {n} still holds similarity subscription {} expired at {}",
+            q.id,
+            q.expires.as_ms()
+        ));
+    }
+    if let Some(q) = dc.all_ip_subscriptions().filter(|q| q.expired(now)).min_by_key(|q| q.id) {
+        return Some(format!(
+            "node {n} still holds inner-product subscription {} expired at {}",
+            q.id,
+            q.expires.as_ms()
+        ));
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsi_core::{InnerProductQuery, SimilarityKind};
+
+    #[test]
+    fn purge_oracle_names_the_same_subscription_on_every_run() {
+        // Each data center hashes its subscription maps with its own
+        // random state, so "the first expired one" must not be read off
+        // map order: the detail feeds reproducer equality checks.
+        let now = SimTime::from_ms(500);
+        let details: BTreeSet<(Option<String>, Option<String>)> = (0..64)
+            .map(|_| {
+                let (mut sim, mut ip) = (DataCenter::new(5), DataCenter::new(5));
+                for id in [9, 4, 7, 2, 11] {
+                    let target = (0..16).map(|i| (i + id) as f64).collect();
+                    sim.subscribe_similarity(SimilarityQuery::from_target(
+                        id,
+                        0,
+                        target,
+                        0.1,
+                        SimilarityKind::Correlation,
+                        2,
+                        0,
+                        SimTime::from_ms(100),
+                    ));
+                    let q = InnerProductQuery::new(id, 0, 0, vec![0], vec![1.0], now);
+                    ip.subscribe_inner_product(q);
+                }
+                (unpurged_state(5, &sim, now), unpurged_state(5, &ip, now))
+            })
+            .collect();
+        assert_eq!(
+            details.into_iter().collect::<Vec<_>>(),
+            [(
+                Some("node 5 still holds similarity subscription 2 expired at 100".to_string()),
+                Some("node 5 still holds inner-product subscription 2 expired at 500".to_string())
+            )]
+        );
     }
 }

@@ -5,18 +5,35 @@
 //! scattered through `check_oracles`, and the count ("nine oracles")
 //! lived separately in prose — three copies of one fact with nothing
 //! holding them together. The registry makes the enum the single source
-//! of truth: [`NUM_ORACLES`] and the [`ORACLES`] table are checked
-//! against the variant count by dsilint's X02 pass, the [`OracleId::slug`]
-//! dispatch match must stay exhaustive (wildcard arms rejected), and the
-//! oracle count DESIGN.md advertises via its machine-readable marker is
-//! audited against the same enum.
+//! of truth: one macro declares [`OracleId`], [`ORACLES`] and
+//! [`NUM_ORACLES`] from one variant list, the [`OracleId::slug`] dispatch
+//! match is exhaustive (clippy rejects wildcard arms), and a unit test
+//! pins the oracle count DESIGN.md advertises via its machine-readable
+//! `oracle-count` marker to [`NUM_ORACLES`].
 
-/// Identifies one invariant oracle, in the order DESIGN.md §8 numbers
-/// them. `Violation::oracle` and reproducer JSON carry the stable string
-/// [`slug`](OracleId::slug), so serialized artifacts are unaffected by
-/// variant renames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OracleId {
+/// Declares [`OracleId`], [`ORACLES`] and [`NUM_ORACLES`] from one variant
+/// list, so an oracle cannot be added without entering both tables.
+macro_rules! oracles {
+    ($($(#[$doc:meta])* $oracle:ident,)+) => {
+        /// Identifies one invariant oracle, in the order DESIGN.md §8
+        /// numbers them. `Violation::oracle` and reproducer JSON carry the
+        /// stable string [`slug`](OracleId::slug), so serialized artifacts
+        /// are unaffected by variant renames.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum OracleId {
+            $($(#[$doc])* $oracle,)+
+        }
+
+        /// Number of registered oracles.
+        pub const NUM_ORACLES: usize = [$(stringify!($oracle)),+].len();
+
+        /// Every oracle in design order. Audit code that wants "all of
+        /// them" iterates this table instead of hand-listing variants.
+        pub const ORACLES: [OracleId; NUM_ORACLES] = [$(OracleId::$oracle),+];
+    };
+}
+
+oracles! {
     /// Oracle 1: the distributed index never misses a match the
     /// brute-force reference finds.
     NoFalseDismissal,
@@ -50,31 +67,10 @@ pub enum OracleId {
     PostHealConvergence,
 }
 
-/// Number of registered oracles. dsilint's X02 pass pins this to the
-/// `OracleId` variant count and to the `dsilint: oracle-count` marker in
-/// DESIGN.md.
-pub const NUM_ORACLES: usize = 10;
-
-/// Every oracle in design order. Audit code that wants "all of them"
-/// iterates this table instead of hand-listing variants.
-pub const ORACLES: [OracleId; NUM_ORACLES] = [
-    OracleId::NoFalseDismissal,
-    OracleId::RoutingTermination,
-    OracleId::ReplicaPlacement,
-    OracleId::MetricsConservation,
-    OracleId::Purge,
-    OracleId::TraceConformance,
-    OracleId::EventualCompleteness,
-    OracleId::LoadBalance,
-    OracleId::SketchAccuracy,
-    OracleId::PostHealConvergence,
-];
-
 impl OracleId {
     /// Stable string slug used in `Violation::oracle`, reproducer JSON,
     /// soak logs and CI triage. Exhaustive by construction: adding a
-    /// variant without extending this match is a compile error, and a
-    /// wildcard arm here is an X02 violation.
+    /// variant without extending this match is a compile error.
     pub fn slug(self) -> &'static str {
         match self {
             OracleId::NoFalseDismissal => "no-false-dismissal",
@@ -102,6 +98,25 @@ mod tests {
         slugs.sort_unstable();
         slugs.dedup();
         assert_eq!(slugs.len(), NUM_ORACLES, "duplicate oracle slug");
+    }
+
+    /// The count in DESIGN.md's `<!-- oracle-count = N -->` marker.
+    fn design_oracle_count(design: &str) -> Option<usize> {
+        let rest = design.split_once("<!-- oracle-count =")?.1;
+        rest.split_once("-->")?.0.trim().parse().ok()
+    }
+
+    #[test]
+    fn design_advertises_the_registered_oracle_count() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).expect("DESIGN.md");
+        assert_eq!(
+            design_oracle_count(&design),
+            Some(NUM_ORACLES),
+            "DESIGN.md oracle-count marker"
+        );
+        assert_eq!(design_oracle_count("<!-- oracle-count = 9 -->"), Some(9));
+        assert_eq!(design_oracle_count("no marker"), None);
     }
 
     #[test]

@@ -700,11 +700,8 @@ mod tests {
             let s = Scenario::generate(seed, ScenarioConfig::default());
             let mut live = s.config.num_nodes as i64;
             for ev in &s.events {
-                match ev {
-                    FaultEvent::CrashNode { .. } => live -= 1,
-                    FaultEvent::JoinNode { .. } => live += 1,
-                    _ => {}
-                }
+                live += i64::from(matches!(ev, FaultEvent::JoinNode { .. }))
+                    - i64::from(matches!(ev, FaultEvent::CrashNode { .. }));
                 assert!(live >= 3, "seed {seed} crashes below three nodes");
             }
         }

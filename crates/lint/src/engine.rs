@@ -1,6 +1,6 @@
 //! The driver: walk the workspace, parse every `.rs` file, run the rules
-//! in two passes (pass 1 builds shared context such as the `MsgClass`
-//! table, pass 2 runs the rules), then apply allow markers.
+//! in two passes (pass 1 builds the shared call-graph context, pass 2 runs
+//! the rules), then apply allow markers and reject unknown ones.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -70,33 +70,14 @@ pub fn parse_workspace(root: &Path) -> Vec<SourceFile> {
         .collect()
 }
 
-/// Run the full lint over `root`. Also reads the machine-readable
-/// oracle-count marker out of the workspace's DESIGN.md for the X02
-/// doc-sync check.
+/// Run the full lint over `root`.
 pub fn run(root: &Path) -> Outcome {
-    let files = parse_workspace(root);
-    let design_count =
-        fs::read_to_string(root.join("DESIGN.md")).ok().as_deref().and_then(parse_oracle_count);
-    lint_files_with(&files, design_count)
-}
-
-/// The count in a `dsilint: oracle-count = N` marker, if present.
-pub fn parse_oracle_count(design: &str) -> Option<usize> {
-    let p = design.find("dsilint: oracle-count")?;
-    let rest = design[p + "dsilint: oracle-count".len()..].trim_start().strip_prefix('=')?;
-    let digits: String = rest.trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    lint_files(&parse_workspace(root))
 }
 
 /// Core two-pass lint over already-parsed files (fixture tests enter here).
 pub fn lint_files(files: &[SourceFile]) -> Outcome {
-    lint_files_with(files, None)
-}
-
-/// [`lint_files`] with the DESIGN.md oracle count threaded into pass 1.
-pub fn lint_files_with(files: &[SourceFile], design_oracle_count: Option<usize>) -> Outcome {
-    let mut context = Context::build(files);
-    context.design_oracle_count = design_oracle_count;
+    let context = Context::build(files);
     let mut out =
         Outcome { files_scanned: files.len(), context: context.clone(), ..Default::default() };
     for f in files {
@@ -107,6 +88,7 @@ pub fn lint_files_with(files: &[SourceFile], design_oracle_count: Option<usize>)
                 out.violations.push(v);
             }
         }
+        out.violations.extend(rules::unknown_markers(f));
     }
     // Deterministic report order.
     let key = |v: &Violation| (v.file.clone(), v.line, v.rule);
@@ -115,7 +97,7 @@ pub fn lint_files_with(files: &[SourceFile], design_oracle_count: Option<usize>)
     out
 }
 
-/// Per-rule violation counts in fixed rule-id order (A01 … X02), so two
+/// Per-rule violation counts in fixed rule-id order (A01, D01), so two
 /// runs over the same tree render byte-identical reports — the map-order
 /// nondeterminism D01 polices elsewhere must not live in our own output.
 fn rule_counts(outcome: &Outcome) -> Vec<(&'static str, &'static str, usize)> {
@@ -198,13 +180,14 @@ fn json_str(s: &str) -> String {
 /// `// dsilint: allow(<rule>, TODO: justify)` comment above every
 /// unsuppressed violation. The `TODO` reason deliberately does **not**
 /// suppress the rule — the scaffold marks where a human must write the
-/// real justification.
+/// real justification. An unknown marker gets no scaffold: the fix is to
+/// delete it.
 ///
 /// Returns `(path, new_content)` pairs; the caller decides whether to
 /// write them.
 pub fn fix_markers(root: &Path, outcome: &Outcome) -> Vec<(PathBuf, String)> {
     let mut by_file: Vec<(&str, Vec<&Violation>)> = Vec::new();
-    for v in &outcome.violations {
+    for v in outcome.violations.iter().filter(|v| v.rule != rules::UNKNOWN_MARKER) {
         match by_file.iter_mut().find(|(f, _)| *f == v.file) {
             Some((_, vs)) => vs.push(v),
             None => by_file.push((&v.file, vec![v])),
@@ -236,33 +219,32 @@ pub fn fix_markers(root: &Path, outcome: &Outcome) -> Vec<(PathBuf, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::D02;
+    use crate::rules::D01;
+
+    const HASH_ORDER: &str = "struct S {\n    m: HashMap<u64, u64>,\n}\n\
+                              fn f(s: &S) {\n    for v in s.m.values() {\n        eat(v);\n    }\n}\n";
 
     #[test]
     fn lint_files_applies_markers() {
-        let bad = SourceFile::parse("crates/core/src/x.rs", "fn f() { let t = Instant::now(); }\n");
-        let allowed = SourceFile::parse(
-            "crates/core/src/y.rs",
-            "fn f() { let t = Instant::now(); } // dsilint: allow(wall-clock-and-entropy, log only)\n",
-        );
+        let bad = SourceFile::parse("crates/core/src/x.rs", HASH_ORDER);
+        let marked = HASH_ORDER
+            .replace("    for v", "    // dsilint: allow(unordered-iter, commutative)\n    for v");
+        let allowed = SourceFile::parse("crates/core/src/y.rs", &marked);
         let out = lint_files(&[bad, allowed]);
         assert_eq!(out.violations.len(), 1);
-        assert_eq!(out.violations[0].rule, D02);
+        assert_eq!(out.violations[0].rule, D01);
         assert_eq!(out.violations[0].file, "crates/core/src/x.rs");
         assert_eq!(out.allowed.len(), 1);
     }
 
     #[test]
     fn report_counts_per_rule_in_id_order() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "fn f() { thread_rng(); }\nfn g() { Instant::now(); }\n",
-        );
+        let f = SourceFile::parse("crates/core/src/x.rs", &format!("{HASH_ORDER}{HASH_ORDER}"));
         let out = lint_files(&[f]);
         let text = render_text(&out);
-        assert!(text.contains("  D02 wall-clock-and-entropy: 2"), "{text}");
+        assert!(text.contains("  D01 unordered-iter: 2"), "{text}");
         assert!(text.contains("  A01 hot-path-alloc: 0"), "{text}");
-        // Fixed A01..X02 ordering, no map nondeterminism: the report walks
+        // Fixed A01, D01 ordering, no map nondeterminism: the report walks
         // RULE_IDS, which lists exactly ALL_RULES, sorted by rule id.
         let slugs: Vec<&str> = rules::RULE_IDS.iter().map(|&(_, slug)| slug).collect();
         assert_eq!(slugs, rules::ALL_RULES);
@@ -273,24 +255,21 @@ mod tests {
             .collect();
         assert!(at.windows(2).all(|w| w[0] < w[1]), "{text}");
         let json = render_json(&out);
-        assert!(json.contains("\"D02 wall-clock-and-entropy\": 2"), "{json}");
-        assert!(json.contains("\"X02 oracle-table-sync\": 0"), "{json}");
+        assert!(json.contains("\"D01 unordered-iter\": 2"), "{json}");
+        assert!(json.contains("\"A01 hot-path-alloc\": 0"), "{json}");
     }
 
     #[test]
     fn report_renders_deterministically() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "fn f() { thread_rng(); }\nfn g() { Instant::now(); }\n",
-        );
+        let f = SourceFile::parse("crates/core/src/x.rs", &format!("{HASH_ORDER}{HASH_ORDER}"));
         let out = lint_files(&[f]);
         let text = render_text(&out);
         let json = render_json(&out);
-        assert!(text.contains("crates/core/src/x.rs:1"));
+        assert!(text.contains("crates/core/src/x.rs:5"));
         assert!(json.contains("\"files_scanned\": 1"));
         // Sorted by line.
-        let l1 = text.find(":1:").unwrap();
-        let l2 = text.find(":2:").unwrap();
+        let l1 = text.find(":5:").unwrap();
+        let l2 = text.find(":13:").unwrap();
         assert!(l1 < l2);
     }
 }

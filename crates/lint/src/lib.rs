@@ -2,12 +2,12 @@
 //! linter for the dsindex workspace.
 //!
 //! The repo's whole test strategy (golden-report byte-identity, trace
-//! digests, bit-identical parallel ingest, `audit(trace) == Metrics`)
+//! digests, bit-identical parallel ingest, the zero-alloc ingest contract)
 //! rests on source-level invariants that no unit test can see being
-//! eroded: unordered `HashMap` iteration feeding routed state, ambient
-//! wall-clock or entropy in simulation crates, a message billed or traced
-//! outside the send seam. This crate checks them statically on every
-//! commit, in the spirit of rust-lang/rust's `tidy`.
+//! eroded. rustc and clippy enforce the ones that types can state (wall
+//! clocks, hot-path panics, the send seam, the class and oracle tables;
+//! DESIGN.md §11). This crate checks the two that need the call graph or
+//! a map's iteration order, in the spirit of rust-lang/rust's `tidy`.
 //!
 //! Layers:
 //! * [`lexer`] — scrubbing lexer: blanks comments/literals, keeps lines;
@@ -15,7 +15,8 @@
 //!   windows;
 //! * [`callgraph`] — nominal workspace call graph + reachability (the v2
 //!   multi-pass substrate);
-//! * [`rules`] — the seven rules (A01, D01, D02, R01, S01, X01, X02);
+//! * [`rules`] — the two rules (A01 hot-path-alloc, D01 unordered-iter)
+//!   and the unknown-marker check;
 //! * [`engine`] — workspace walk, two-pass run, reports, `--fix-markers`.
 
 pub mod callgraph;
@@ -24,6 +25,6 @@ pub mod lexer;
 pub mod rules;
 pub mod source;
 
-pub use engine::{lint_files, lint_files_with, parse_workspace, run, Outcome};
+pub use engine::{lint_files, parse_workspace, run, Outcome};
 pub use rules::{Context, Violation};
 pub use source::SourceFile;

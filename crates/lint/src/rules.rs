@@ -1,4 +1,4 @@
-//! The seven determinism / invariant rules.
+//! The two call-graph and determinism rules the compiler cannot state.
 //!
 //! Every rule is a pure function from a [`SourceFile`] (plus the shared
 //! [`Context`]) to violations. Rules are deliberately *textual* — this is a
@@ -6,7 +6,9 @@
 //! heuristics and every rule honors `// dsilint: allow(<rule>, <reason>)`
 //! markers (applied later by the engine, so fixtures can test raw hits).
 //! A01 additionally consults the workspace call graph built in pass 1 (see
-//! [`crate::callgraph`]).
+//! [`crate::callgraph`]). The workspace's other source contracts (wall
+//! clocks, hot-path panics, the send seam, the class and oracle tables)
+//! are enforced by rustc and clippy (DESIGN.md §11).
 
 use crate::callgraph::Graph;
 use crate::source::SourceFile;
@@ -14,25 +16,16 @@ use crate::source::SourceFile;
 /// Slugs, used in allow markers and reports.
 pub const A01: &str = "hot-path-alloc";
 pub const D01: &str = "unordered-iter";
-pub const D02: &str = "wall-clock-and-entropy";
-pub const R01: &str = "hot-path-unwrap";
-pub const S01: &str = "single-send-site";
-pub const X01: &str = "class-table";
-pub const X02: &str = "oracle-table-sync";
 
 /// All rule slugs, in report order (sorted by rule id).
-pub const ALL_RULES: [&str; 7] = [A01, D01, D02, R01, S01, X01, X02];
+pub const ALL_RULES: [&str; 2] = [A01, D01];
 
 /// `(rule id, slug)` pairs in report order.
-pub const RULE_IDS: [(&str, &str); 7] = [
-    ("A01", A01),
-    ("D01", D01),
-    ("D02", D02),
-    ("R01", R01),
-    ("S01", S01),
-    ("X01", X01),
-    ("X02", X02),
-];
+pub const RULE_IDS: [(&str, &str); 2] = [("A01", A01), ("D01", D01)];
+
+/// Pseudo-rule of a marker that names no rule in [`ALL_RULES`]: it
+/// suppresses nothing, so it is reported (and cannot itself be allowed).
+pub const UNKNOWN_MARKER: &str = "unknown-marker";
 
 /// One rule hit (before allow-marker filtering).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,21 +58,10 @@ pub struct HotFn {
     pub via: String,
 }
 
-/// Workspace-level facts shared by rules: the `MsgClass` and `OracleId`
-/// tables, the call graph, and the A01 hot set.
+/// Workspace-level facts shared by rules: the call graph and the A01 hot
+/// set.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
-    /// Variant names of `pub enum MsgClass`, in declaration order.
-    pub msg_class_variants: Vec<String>,
-    /// File the enum was found in.
-    pub msg_class_file: Option<String>,
-    /// Variant names of `pub enum OracleId`, in declaration order.
-    pub oracle_variants: Vec<String>,
-    /// File the oracle enum was found in.
-    pub oracle_file: Option<String>,
-    /// Oracle count advertised by DESIGN.md's machine-readable marker
-    /// (`<!-- dsilint: oracle-count = N -->`), when the engine found one.
-    pub design_oracle_count: Option<usize>,
     /// Workspace call graph over the runtime crates.
     pub graph: Graph,
     /// Functions reachable from the zero-alloc entry points, cold
@@ -102,23 +84,11 @@ const A01_ENTRIES: [(&str, &str); 4] = [
 ];
 
 impl Context {
-    /// Pass 1: scan `files` for the enum tables and build the call graph
-    /// plus the A01 hot set.
+    /// Pass 1: build the call graph, the A01 hot set and the per-module
+    /// hash-container names.
     pub fn build(files: &[SourceFile]) -> Context {
         let mut ctx = Context::default();
         for f in files {
-            if ctx.msg_class_file.is_none() {
-                if let Some(vars) = parse_enum_variants(f, "MsgClass") {
-                    ctx.msg_class_variants = vars;
-                    ctx.msg_class_file = Some(f.path.clone());
-                }
-            }
-            if ctx.oracle_file.is_none() {
-                if let Some(vars) = parse_enum_variants(f, "OracleId") {
-                    ctx.oracle_variants = vars;
-                    ctx.oracle_file = Some(f.path.clone());
-                }
-            }
             if let Some(dir) = f.path.strip_suffix("mod.rs") {
                 ctx.module_hash_names.push((dir.to_string(), hash_container_names(f)));
             }
@@ -156,12 +126,27 @@ pub fn run_all(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
     out.extend(hot_path_alloc(ctx, f));
     out.extend(unordered_iter(ctx, f));
-    out.extend(wall_clock_and_entropy(f));
-    out.extend(hot_path_unwrap(f));
-    out.extend(single_send_site(f));
-    out.extend(class_table(ctx, f));
-    out.extend(oracle_table_sync(ctx, f));
     out
+}
+
+/// Markers in `f` whose slug names no rule in [`ALL_RULES`] — left behind
+/// when a rule moved to the compiler or was misspelled.
+pub fn unknown_markers(f: &SourceFile) -> Vec<Violation> {
+    f.markers
+        .iter()
+        .filter(|m| !ALL_RULES.contains(&m.rule.as_str()))
+        .map(|m| Violation {
+            rule: UNKNOWN_MARKER,
+            file: f.path.clone(),
+            line: m.applies_to,
+            message: format!(
+                "`dsilint: allow({}, …)` names no dsilint rule (known: {}); delete the marker",
+                m.rule,
+                ALL_RULES.join(", ")
+            ),
+            excerpt: f.raw.get(m.applies_to - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
+        })
+        .collect()
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -448,432 +433,4 @@ fn push_unique(names: &mut Vec<String>, name: &str) {
     if name != "Self" && !names.iter().any(|n| n == name) {
         names.push(name.to_string());
     }
-}
-
-// ----------------------------------------------------------------------
-// D02 — wall-clock-and-entropy
-// ----------------------------------------------------------------------
-
-/// **D02** — ambient time / randomness outside `crates/bench`: simulation
-/// code must take time from `SimTime` and randomness from seeded RNGs, or
-/// replay breaks.
-pub fn wall_clock_and_entropy(f: &SourceFile) -> Vec<Violation> {
-    if f.path.starts_with("crates/bench/") {
-        return Vec::new();
-    }
-    const TOKENS: [&str; 5] =
-        ["Instant::now", "SystemTime::now", "thread_rng", "rand::random", "from_entropy"];
-    let mut out = Vec::new();
-    for (idx, line) in f.code.iter().enumerate() {
-        for t in TOKENS {
-            if line.contains(t) {
-                out.push(Violation {
-                    rule: D02,
-                    file: f.path.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{t}` is nondeterministic under replay; use SimTime / a seeded RNG, \
-                         move it to crates/bench, or justify with \
-                         `// dsilint: allow({D02}, <reason>)`"
-                    ),
-                    excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-                });
-            }
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// R01 — hot-path-unwrap
-// ----------------------------------------------------------------------
-
-/// Files on the per-message hot path.
-const R01_FILES: [&str; 10] = [
-    "chord/src/router.rs",
-    "chord/src/multicast.rs",
-    "simnet/src/engine.rs",
-    "core/src/reliability.rs",
-    "core/src/load.rs",
-    "core/src/store.rs",
-    "core/src/sortable.rs",
-    "core/src/aggregate.rs",
-    "sketch/src/eh.rs",
-    "sketch/src/ecm.rs",
-];
-
-/// **R01** — `unwrap()` / `expect(` on the routing / engine hot path:
-/// every one is a latent crash on a malformed overlay state, so each must
-/// carry an allow marker naming the invariant that makes it unreachable.
-/// `#[cfg(test)]` modules are exempt.
-pub fn hot_path_unwrap(f: &SourceFile) -> Vec<Violation> {
-    if !R01_FILES.iter().any(|p| f.path.ends_with(p)) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in f.code.iter().enumerate() {
-        if f.in_test_region(idx + 1) {
-            continue;
-        }
-        for probe in [".unwrap()", ".expect("] {
-            let mut from = 0usize;
-            while let Some(p) = line[from..].find(probe) {
-                out.push(Violation {
-                    rule: R01,
-                    file: f.path.clone(),
-                    line: idx + 1,
-                    message: format!(
-                        "`{}` on the routing hot path; name the invariant that makes it \
-                         unreachable with `// dsilint: allow({R01}, <reason>)` or handle the None/Err",
-                        probe.trim_end_matches('(')
-                    ),
-                    excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-                });
-                from += p + probe.len();
-            }
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// S01 — single-send-site
-// ----------------------------------------------------------------------
-
-/// The one file of `crates/core` allowed to bill and trace overlay
-/// messages: the `Cluster` send seam.
-const SEND_SEAM: &str = "crates/core/src/cluster/send.rs";
-
-/// The calls that bill an overlay message to `Metrics` or record it in the
-/// causal trace.
-const S01_TOKENS: [&str; 7] = [
-    ".record_message(",
-    ".record_hops(",
-    ".record_route(",
-    "tracer.single(",
-    "tracer.route(",
-    "trace_into(",
-    "trace_tree_into(",
-];
-
-/// **S01** — inside `crates/core`, overlay messages are billed and traced
-/// only in the send seam (`cluster/send.rs`). The seam judges a message
-/// once, charges it once and emits its paired trace record, so the two
-/// contracts the dynamic oracles check — `audit(trace) == Metrics` and
-/// charge-once-at-send (DESIGN §12) — hold by construction for every
-/// sender that goes through it; this rule keeps senders from going around
-/// it. `#[cfg(test)]` modules are exempt.
-pub fn single_send_site(f: &SourceFile) -> Vec<Violation> {
-    if !f.path.starts_with("crates/core/") || f.path == SEND_SEAM {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in f.code.iter().enumerate() {
-        if f.in_test_region(idx + 1) {
-            continue;
-        }
-        for t in S01_TOKENS.iter().filter(|t| line.contains(**t)) {
-            out.push(Violation {
-                rule: S01,
-                file: f.path.clone(),
-                line: idx + 1,
-                message: format!(
-                    "`{}` outside the send seam — messages are judged, charged and traced \
-                     only in {SEND_SEAM} (DESIGN §12); send through \
-                     send_hop/send_routed/send_range or justify with \
-                     `// dsilint: allow({S01}, <reason>)`",
-                    t.trim_start_matches('.').trim_end_matches('(')
-                ),
-                excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-            });
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// X01 — class-table
-// ----------------------------------------------------------------------
-
-/// **X01** — the `MsgClass` table must stay in sync everywhere: the
-/// `NUM_CLASSES` constant and every `[MsgClass; N]` array length must
-/// equal the variant count, and every `match` with `MsgClass::…` patterns
-/// must name every variant itself — a `_` wildcard arm silently swallows
-/// newly added classes and defeats the compiler's exhaustiveness aid.
-pub fn class_table(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
-    // Fixture files carry their own enum; the live workspace shares the one
-    // from crates/simnet.
-    enum_table_sync(
-        f,
-        X01,
-        "MsgClass",
-        "NUM_CLASSES",
-        &ctx.msg_class_variants,
-        ctx.msg_class_file.as_deref(),
-    )
-}
-
-/// Shared X01/X02 machinery: audit a `NUM_*` constant, `[Enum; N]` array
-/// lengths, and `match` exhaustiveness (wildcard arms rejected) against
-/// the variant count of `enum_name`. A local enum definition in `f` takes
-/// precedence over the workspace one (fixtures carry their own).
-fn enum_table_sync(
-    f: &SourceFile,
-    rule: &'static str,
-    enum_name: &str,
-    const_name: &str,
-    ctx_variants: &[String],
-    ctx_file: Option<&str>,
-) -> Vec<Violation> {
-    let (variants, local) = match parse_enum_variants(f, enum_name) {
-        Some(v) => (v, true),
-        None => (ctx_variants.to_vec(), false),
-    };
-    if variants.is_empty() {
-        return Vec::new();
-    }
-    let n = variants.len();
-    let mut out = Vec::new();
-    let mut push = |line: usize, message: String| {
-        out.push(Violation {
-            rule,
-            file: f.path.clone(),
-            line,
-            message,
-            excerpt: f.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
-        });
-    };
-
-    let const_needle = format!("{const_name}: usize =");
-    let array_needle = format!("[{enum_name};");
-    let pat_needle = format!("{enum_name}::");
-    for (idx, line) in f.code.iter().enumerate() {
-        // `NUM_*: usize = k` (only meaningful next to the enum).
-        if local || ctx_file == Some(f.path.as_str()) {
-            if let Some(p) = line.find(&const_needle) {
-                let val = line[p + const_needle.len()..]
-                    .trim()
-                    .trim_end_matches(';')
-                    .parse::<usize>()
-                    .ok();
-                if val != Some(n) {
-                    push(
-                        idx + 1,
-                        format!(
-                            "{const_name} is {} but `enum {enum_name}` has {n} variants",
-                            val.map_or("unparsable".to_string(), |v| v.to_string())
-                        ),
-                    );
-                }
-            }
-        }
-        // `[Enum; k]` array lengths. Spelling the length as the audited
-        // `NUM_*` const is always in sync by construction and preferred.
-        let mut from = 0usize;
-        while let Some(p) = line[from..].find(&array_needle) {
-            let start = from + p + array_needle.len();
-            let rest = line[start..].trim_start();
-            if rest.starts_with(const_name) {
-                from = start;
-                continue;
-            }
-            let len: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if len.parse::<usize>().ok() != Some(n) {
-                push(idx + 1, format!("`[{enum_name}; {len}]` out of sync with {n} variants"));
-            }
-            from = start;
-        }
-    }
-
-    // Matches with Enum:: patterns.
-    for m in find_matches(f) {
-        let mut named: Vec<String> = Vec::new();
-        let mut wildcard: Option<usize> = None;
-        let mut relevant = false;
-        for line_no in m.0..=m.1 {
-            let line = &f.code[line_no - 1];
-            let t = line.trim_start();
-            if t.starts_with(&pat_needle) && line.contains("=>") {
-                relevant = true;
-                // Collect every variant named in the pattern part of the
-                // arm (left of `=>`; covers `A | B =>`).
-                let pat_end = line.find("=>").unwrap_or(line.len());
-                let pat = &line[..pat_end];
-                let mut from = 0usize;
-                while let Some(p) = pat[from..].find(&pat_needle) {
-                    let vstart = from + p + pat_needle.len();
-                    let name: String =
-                        pat[vstart..].chars().take_while(|&c| is_ident_char(c)).collect();
-                    // Unknown names are the compiler's problem, not ours.
-                    if variants.contains(&name) && !named.contains(&name) {
-                        named.push(name);
-                    }
-                    from = vstart;
-                }
-            }
-            if (t.starts_with("_ =>") || t.starts_with("_ if ")) && relevant && wildcard.is_none() {
-                wildcard = Some(line_no);
-            }
-        }
-        if !relevant {
-            continue;
-        }
-        if let Some(w) = wildcard {
-            push(
-                w,
-                format!(
-                    "wildcard `_` arm in a `{enum_name}` match silently swallows future \
-                     variants; name every one instead"
-                ),
-            );
-        } else if named.len() != n {
-            push(
-                m.0,
-                format!(
-                    "`{enum_name}` match covers {} of {n} variants; the table drifted",
-                    named.len()
-                ),
-            );
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// X02 — oracle-table-sync
-// ----------------------------------------------------------------------
-
-/// **X02** — the faultsim oracle registry must stay in sync everywhere:
-/// `NUM_ORACLES`, every `[OracleId; N]` array length and every `match`
-/// with `OracleId::` patterns must agree with the enum's variant count
-/// (wildcard arms rejected, same shape as X01) — and the oracle count
-/// DESIGN.md advertises via its machine-readable marker
-/// (`<!-- dsilint: oracle-count = N -->`) must match too, so the docs
-/// cannot drift from the harness.
-pub fn oracle_table_sync(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
-    let mut out = enum_table_sync(
-        f,
-        X02,
-        "OracleId",
-        "NUM_ORACLES",
-        &ctx.oracle_variants,
-        ctx.oracle_file.as_deref(),
-    );
-    // The DESIGN.md count is checked once, anchored at the enum definition.
-    if let (Some(design), Some(vars)) =
-        (ctx.design_oracle_count, parse_enum_variants(f, "OracleId").filter(|v| !v.is_empty()))
-    {
-        if design != vars.len() {
-            let line =
-                f.code.iter().position(|l| l.contains("enum OracleId")).map(|i| i + 1).unwrap_or(1);
-            out.push(Violation {
-                rule: X02,
-                file: f.path.clone(),
-                line,
-                message: format!(
-                    "DESIGN.md advertises {design} oracles (`dsilint: oracle-count`) but \
-                     `enum OracleId` has {} variants; update the doc marker or the registry",
-                    vars.len()
-                ),
-                excerpt: f.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
-            });
-        }
-    }
-    out
-}
-
-/// `(start_line, end_line)` 1-based inclusive spans of every `match` body.
-fn find_matches(f: &SourceFile) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let joined = f.code.join("\n");
-    let bytes = joined.as_bytes();
-    let line_of = |pos: usize| joined[..pos].matches('\n').count() + 1;
-    let mut from = 0usize;
-    while let Some(p) = joined[from..].find("match ") {
-        let kw = from + p;
-        from = kw + 6;
-        if kw > 0 && is_ident_char(bytes[kw - 1] as char) {
-            continue; // part of an identifier
-        }
-        // Scan to the `{` opening the match body (at relative depth 0).
-        let mut depth = 0i32;
-        let mut body_open = None;
-        for (off, c) in joined[kw..].char_indices() {
-            match c {
-                '(' | '[' => depth += 1,
-                ')' | ']' => depth -= 1,
-                '{' if depth == 0 => {
-                    body_open = Some(kw + off);
-                    break;
-                }
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                ';' if depth == 0 => break, // not a match expression after all
-                _ => {}
-            }
-        }
-        let Some(open) = body_open else { continue };
-        // Find the matching close brace.
-        let mut bd = 0i32;
-        let mut close = None;
-        for (off, c) in joined[open..].char_indices() {
-            match c {
-                '{' => bd += 1,
-                '}' => {
-                    bd -= 1;
-                    if bd == 0 {
-                        close = Some(open + off);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(close) = close {
-            out.push((line_of(open), line_of(close)));
-        }
-    }
-    out
-}
-
-/// Variant names of `pub enum <name>` in this file, if defined here.
-/// Handles the simple C-like shape the class table uses (one variant per
-/// line, optional trailing comma, doc comments already scrubbed).
-fn parse_enum_variants(f: &SourceFile, name: &str) -> Option<Vec<String>> {
-    let needle = format!("enum {name}");
-    let start = f.code.iter().position(|l| {
-        l.contains(&needle)
-            && l[l.find(&needle).unwrap() + needle.len()..]
-                .trim_start()
-                .starts_with(['{', '<'].as_ref())
-            || l.trim_end().ends_with(&needle)
-    })?;
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    for line in f.code.iter().skip(start) {
-        for c in line.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(variants);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if depth == 1 {
-            let t = line.trim();
-            let ident: String = t.chars().take_while(|&c| is_ident_char(c)).collect();
-            if !ident.is_empty()
-                && ident.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                && (t.len() == ident.len() || t[ident.len()..].starts_with([',', '(', ' ', '{']))
-                && !t.contains("enum ")
-            {
-                variants.push(ident);
-            }
-        }
-    }
-    None
 }

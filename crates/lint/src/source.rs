@@ -118,13 +118,14 @@ impl SourceFile {
     }
 }
 
-/// Parse `dsilint: allow(rule, reason)` out of comment texts and resolve
-/// which code line each applies to.
+/// Parse `dsilint: allow(rule, reason)` out of the comments that open
+/// with it (a doc comment or prose that merely mentions the syntax is not a
+/// marker) and resolve which code line each applies to.
 fn parse_markers(code: &[String], comments: &[(usize, String)]) -> Vec<Marker> {
     let mut out = Vec::new();
     for (line, text) in comments {
-        let Some(pos) = text.find("dsilint:") else { continue };
-        let rest = text[pos + "dsilint:".len()..].trim_start();
+        let Some(rest) = text.trim_start().strip_prefix("dsilint:") else { continue };
+        let rest = rest.trim_start();
         let Some(args) = rest.strip_prefix("allow(").and_then(|r| r.find(')').map(|e| &r[..e]))
         else {
             continue;
@@ -195,12 +196,22 @@ mod tests {
         let f = SourceFile::parse(
             "x.rs",
             "let a = m.values(); // dsilint: allow(unordered-iter, summed)\n\
-             // dsilint: allow(hot-path-unwrap, checked above)\n\
-             let b = v.unwrap();\n",
+             // dsilint: allow(hot-path-alloc, setup only)\n\
+             let b = v.clone();\n",
         );
         assert_eq!(f.allow_reason("unordered-iter", 1), Some("summed"));
-        assert_eq!(f.allow_reason("hot-path-unwrap", 3), Some("checked above"));
-        assert_eq!(f.allow_reason("hot-path-unwrap", 2), None);
+        assert_eq!(f.allow_reason("hot-path-alloc", 3), Some("setup only"));
+        assert_eq!(f.allow_reason("hot-path-alloc", 2), None);
+    }
+
+    #[test]
+    fn doc_comments_mentioning_the_syntax_are_not_markers() {
+        let f = SourceFile::parse(
+            "x.rs",
+            "/// Write `// dsilint: allow(rule, reason)` above it.\nfn f() {}\n\
+             // see dsilint: allow(unordered-iter, prose)\nfn g() {}\n",
+        );
+        assert!(f.markers.is_empty(), "{:?}", f.markers);
     }
 
     #[test]

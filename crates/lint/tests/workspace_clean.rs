@@ -22,56 +22,6 @@ fn live_workspace_passes_check() {
 }
 
 #[test]
-fn msg_class_context_is_discovered() {
-    // X01 is only meaningful if pass 1 actually finds the class table; a
-    // refactor that moves/renames the enum must fail here, not silently
-    // disable the rule.
-    let outcome = engine::run(workspace_root());
-    assert_eq!(
-        outcome.context.msg_class_file.as_deref(),
-        Some("crates/simnet/src/metrics.rs"),
-        "MsgClass enum not found where expected"
-    );
-    // The class table grew to 11 with the aggregate AggPush / AggNotify
-    // classes; X01 audits every `[MsgClass; N]` and NUM_CLASSES against
-    // exactly this count, so pin it — a variant added without updating the
-    // table must fail here, not drift.
-    assert_eq!(
-        outcome.context.msg_class_variants.len(),
-        11,
-        "MsgClass variants: {:?}",
-        outcome.context.msg_class_variants
-    );
-}
-
-#[test]
-fn oracle_context_is_discovered() {
-    // Same guard for X02: pass 1 must find the oracle registry, and the
-    // DESIGN.md machine-readable marker must be parsed — otherwise the
-    // doc-vs-registry drift check silently disarms.
-    let outcome = engine::run(workspace_root());
-    assert_eq!(
-        outcome.context.oracle_file.as_deref(),
-        Some("crates/faultsim/src/oracle.rs"),
-        "OracleId enum not found where expected"
-    );
-    // The registry grew to ten with the post-heal convergence oracle;
-    // X02 audits NUM_ORACLES, every `[OracleId; N]` table and the
-    // DESIGN.md marker against exactly this count, so pin it.
-    assert_eq!(
-        outcome.context.oracle_variants.len(),
-        10,
-        "OracleId variants: {:?}",
-        outcome.context.oracle_variants
-    );
-    assert_eq!(
-        outcome.context.design_oracle_count,
-        Some(10),
-        "DESIGN.md `dsilint: oracle-count` marker not parsed"
-    );
-}
-
-#[test]
 fn hot_set_reaches_beyond_the_entry_file() {
     // A01 is only meaningful if the call graph actually traverses out of
     // the ingest entry points: the inline aggregate replica update pulls

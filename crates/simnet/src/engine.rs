@@ -7,6 +7,10 @@
 //! (this mirrors the "timed events on all nodes" replay of the Chord
 //! simulator the paper used).
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -149,7 +153,7 @@ impl<E> Engine<E> {
             if next.at > until {
                 break;
             }
-            // dsilint: allow(hot-path-unwrap, peek above proves the heap is non-empty)
+            #[expect(clippy::expect_used, reason = "peek above proves the heap is non-empty")]
             let Scheduled { at, event, .. } = self.queue.pop().expect("peeked");
             self.clock = at;
             self.processed += 1;
@@ -223,7 +227,7 @@ impl<M> DelayQueue<M> {
     pub fn drain_due(&mut self, now: SimTime) -> Vec<M> {
         let mut out = Vec::new();
         while self.heap.peek().is_some_and(|s| s.at <= now) {
-            // dsilint: allow(hot-path-unwrap, peek above proves the heap is non-empty)
+            #[expect(clippy::expect_used, reason = "peek above proves the heap is non-empty")]
             out.push(self.heap.pop().expect("peeked").event);
         }
         out

@@ -11,9 +11,31 @@ use crate::nodehash::NodeIdHash;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Classification of every overlay message, matching the figure legends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MsgClass {
+/// Declares [`MsgClass`], [`MsgClass::ALL`] and [`NUM_CLASSES`] from one
+/// variant list, so a class cannot be added without entering both tables
+/// (and every `[_; NUM_CLASSES]` counter array grows with it).
+macro_rules! msg_classes {
+    ($($(#[$doc:meta])* $class:ident,)+) => {
+        /// Classification of every overlay message, matching the figure
+        /// legends. Declaration order is legend order (aggregate classes
+        /// appended after the Fig. 6(a) legends so historical indices stay
+        /// stable) and is the dense index.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        pub enum MsgClass {
+            $($(#[$doc])* $class,)+
+        }
+
+        impl MsgClass {
+            /// All classes, in legend order.
+            pub const ALL: [MsgClass; NUM_CLASSES] = [$(MsgClass::$class),+];
+        }
+
+        /// Number of message classes.
+        pub const NUM_CLASSES: usize = [$(stringify!($class)),+].len();
+    };
+}
+
+msg_classes! {
     /// MBR messages originated by a node as a stream source (Fig. 6a-a).
     MbrOriginated,
     /// Extra MBR copies when the key range spans multiple nodes (Fig. 6a-b).
@@ -40,40 +62,11 @@ pub enum MsgClass {
 }
 
 impl MsgClass {
-    /// All classes, in legend order (aggregate classes appended after the
-    /// Fig. 6(a) legends so historical indices stay stable).
-    pub const ALL: [MsgClass; 11] = [
-        MsgClass::MbrOriginated,
-        MsgClass::MbrInternal,
-        MsgClass::MbrTransit,
-        MsgClass::Query,
-        MsgClass::QueryInternal,
-        MsgClass::QueryTransit,
-        MsgClass::Response,
-        MsgClass::ResponseInternal,
-        MsgClass::ResponseTransit,
-        MsgClass::AggPush,
-        MsgClass::AggNotify,
-    ];
-
-    /// Dense index for array-backed counters. Constant-time (and usable in
-    /// const contexts); a unit test pins it to the position in
-    /// [`MsgClass::ALL`].
+    /// Dense index for array-backed counters: the position in
+    /// [`MsgClass::ALL`]. Constant-time and usable in const contexts.
     #[inline]
     pub const fn index(self) -> usize {
-        match self {
-            MsgClass::MbrOriginated => 0,
-            MsgClass::MbrInternal => 1,
-            MsgClass::MbrTransit => 2,
-            MsgClass::Query => 3,
-            MsgClass::QueryInternal => 4,
-            MsgClass::QueryTransit => 5,
-            MsgClass::Response => 6,
-            MsgClass::ResponseInternal => 7,
-            MsgClass::ResponseTransit => 8,
-            MsgClass::AggPush => 9,
-            MsgClass::AggNotify => 10,
-        }
+        self as usize
     }
 
     /// Inverse of [`MsgClass::index`]; `None` for out-of-range indices.
@@ -105,9 +98,6 @@ impl MsgClass {
         }
     }
 }
-
-/// Number of message classes.
-pub const NUM_CLASSES: usize = 11;
 
 /// The input-event kinds whose per-event message overhead Fig. 7 reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

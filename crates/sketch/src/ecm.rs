@@ -16,6 +16,10 @@
 //! ([`EcmSketch::components`]; each component contributes one straddling
 //! bucket of absolute slack).
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::eh::ExpHistogram;
 use crate::hash::bucket;
 

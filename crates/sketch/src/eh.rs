@@ -15,6 +15,10 @@
 //! [`ExpHistogram::merge_from`] allocates (a merge scratch), and merges
 //! happen at the notification cadence, not on the ingest hot path.
 
+// On the per-message hot path: every panic site names the invariant that
+// makes it unreachable in an `expect` attribute (DESIGN.md §11).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// One bucket: `count` events, the newest of which arrived at `end_ms`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bucket {

@@ -1,7 +1,7 @@
 //! Deterministic seeded hashing for the Count-Min rows.
 //!
 //! Every hash is a pure function of `(seed, row, item)` — no `RandomState`,
-//! no process entropy (dsilint D02) — so two data centers constructing a
+//! no process entropy (DESIGN.md §11) — so two data centers constructing a
 //! sketch from the same [`crate::SketchParams`] bucket every item
 //! identically, which is what makes the sketches mergeable counter-wise.
 

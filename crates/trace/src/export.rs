@@ -160,12 +160,8 @@ mod tests {
         assert_eq!(lines.len(), t.len());
         for line in lines {
             let v = serde_json::parse(line).unwrap();
-            match v {
-                Value::Object(fields) => {
-                    assert!(fields.iter().any(|(k, _)| k == "class"));
-                }
-                other => panic!("expected object, got {other:?}"),
-            }
+            let Value::Object(fields) = &v else { panic!("expected object, got {v:?}") };
+            assert!(fields.iter().any(|(k, _)| k == "class"));
         }
         assert!(text.contains("\"A\""));
     }
@@ -177,15 +173,11 @@ mod tests {
         write_chrome_trace(&mut buf, &t.snapshot(), &["A", "B", "C"], &[(100, 1)]).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let v = serde_json::parse(&text).unwrap();
-        match v {
-            Value::Array(events) => {
-                // origin: i + s; 3 hops: X + t each; 1 engine tick.
-                assert_eq!(events.len(), 2 + 3 * 2 + 1);
-                assert!(text.contains("\"ph\":\"X\""));
-                assert!(text.contains("\"ph\":\"s\""));
-                assert!(text.contains("\"engine\""));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
+        let Value::Array(events) = &v else { panic!("expected array, got {v:?}") };
+        // origin: i + s; 3 hops: X + t each; 1 engine tick.
+        assert_eq!(events.len(), 2 + 3 * 2 + 1);
+        assert!(text.contains("\"ph\":\"X\""));
+        assert!(text.contains("\"ph\":\"s\""));
+        assert!(text.contains("\"engine\""));
     }
 }
