@@ -66,23 +66,6 @@ impl MbrBatcher {
         self
     }
 
-    /// Changes the width bound at runtime (`None` removes it) — the knob
-    /// the §VI-A adaptive-precision controller turns.
-    ///
-    /// # Panics
-    /// Panics if the new bound is not positive.
-    pub fn set_max_width(&mut self, max_width: Option<f64>) {
-        if let Some(w) = max_width {
-            assert!(w > 0.0, "width bound must be positive");
-        }
-        self.max_width = max_width;
-    }
-
-    /// The current width bound.
-    pub fn max_width(&self) -> Option<f64> {
-        self.max_width
-    }
-
     /// The batching factor ζ.
     #[inline]
     pub fn zeta(&self) -> usize {
@@ -96,7 +79,7 @@ impl MbrBatcher {
     }
 
     /// MBRs shipped *early* because the width bound would have been
-    /// violated — the update-pressure signal of the §VI-A controller.
+    /// violated (regular ζ-full shipments are not counted).
     #[inline]
     pub fn early_shipments(&self) -> u64 {
         self.early_shipments
@@ -295,6 +278,7 @@ mod tests {
         let mbr = b.push_reals(&fv(0.30).to_reals()).expect("early shipment");
         assert_eq!(mbr.first_interval(), (0.10, 0.12));
         assert_eq!(b.pending(), 1);
+        assert_eq!(b.early_shipments(), 1);
         // The new batch still honors zeta.
         for i in 0..8 {
             assert!(b.push_reals(&fv(0.30 + i as f64 * 0.001).to_reals()).is_none());
@@ -302,6 +286,9 @@ mod tests {
         let full = b.push_reals(&fv(0.305).to_reals()).expect("zeta reached");
         let (lo, hi) = full.first_interval();
         assert!(hi - lo <= 0.05 + 1e-12);
+        // A ζ-full shipment is the regular cost, not an early one.
+        assert_eq!(b.early_shipments(), 1);
+        assert_eq!(b.produced(), 2);
     }
 
     #[test]
@@ -364,8 +351,10 @@ mod tests {
     #[test]
     fn running_bounds_are_bit_identical_to_member_list_model() {
         for limit in [None, Some(0.04), Some(0.5)] {
-            let mut b = MbrBatcher::new(6);
-            b.set_max_width(limit);
+            let mut b = match limit {
+                Some(width) => MbrBatcher::new(6).with_max_width(width),
+                None => MbrBatcher::new(6),
+            };
             let mut model = ModelBatcher { zeta: 6, max_width: limit, pending: Vec::new() };
             let mut state = 42u64;
             for _ in 0..800 {

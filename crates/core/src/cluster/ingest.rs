@@ -19,14 +19,13 @@ use std::collections::HashMap;
 const PARALLEL_INGEST_MIN: usize = 32;
 
 /// Worker count for parallel phases: `DSI_WORKERS` if set (useful under CPU
-/// quotas and for oversubscription experiments), else the host parallelism,
-/// clamped to `[1, cap]`.
+/// quotas and for oversubscription experiments), else the host parallelism.
 ///
 /// The host parallelism is probed once and cached: `available_parallelism`
 /// re-reads the cgroup quota files on every call (tens of microseconds on
 /// Linux), which used to dominate small per-tick batches. The `DSI_WORKERS`
 /// override stays dynamic so harnesses can re-point it between configs.
-pub(crate) fn worker_count(cap: usize) -> usize {
+pub(crate) fn worker_count() -> usize {
     static HOST_PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     std::env::var("DSI_WORKERS")
         .ok()
@@ -36,7 +35,6 @@ pub(crate) fn worker_count(cap: usize) -> usize {
             *HOST_PARALLELISM
                 .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         })
-        .clamp(1, cap.max(1))
 }
 
 /// Advances one stream's summarizer through the allocation-free scratch
@@ -108,7 +106,6 @@ impl<R: ContentRouter> Cluster<R> {
             },
             last_feature: None,
         });
-        self.stream_false_positives.push(0);
         // Ids only grow, so pushing keeps the home's list ascending.
         self.homed.entry(home).or_default().push(id);
         // Location put: route (home -> h2 owner) and store the record.

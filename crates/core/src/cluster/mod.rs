@@ -146,10 +146,6 @@ pub struct Cluster<R: ContentRouter = Ring> {
     stabilization_enabled: bool,
     next_query: QueryId,
     quality: QualityStats,
-    /// Per-stream candidates that failed exact verification (false
-    /// positives charged to that stream's MBRs) — the §VI-A cost signal.
-    /// Indexed by the dense stream id.
-    stream_false_positives: Vec<u64>,
     /// Bumped whenever ring membership or partition sides change — every
     /// event that can move a covering set.
     ring_generation: u64,
@@ -252,7 +248,6 @@ impl<R: BuildRouter> Cluster<R> {
             stabilization_enabled: true,
             next_query: 1,
             quality: QualityStats::default(),
-            stream_false_positives: Vec::new(),
             ring_generation: 0,
             query_generation: 0,
             round_scan: notify::RoundScan::default(),
@@ -266,7 +261,7 @@ impl<R: BuildRouter> Cluster<R> {
             ingest_scratch: SummaryScratch::default(),
             emit_scratch: Vec::new(),
             pending_emit: Vec::new(),
-            ingest_workers: ingest::worker_count(usize::MAX),
+            ingest_workers: ingest::worker_count(),
         }
     }
 }
@@ -325,29 +320,6 @@ impl<R: ContentRouter> Cluster<R> {
     /// Quality counters (candidates vs verified matches).
     pub fn quality(&self) -> QualityStats {
         self.quality
-    }
-
-    /// False-positive candidates charged to one stream's MBRs so far.
-    pub fn stream_false_positives(&self, stream: StreamId) -> u64 {
-        self.stream_false_positives.get(stream as usize).copied().unwrap_or(0)
-    }
-
-    /// MBRs this stream shipped early because of its width bound — the
-    /// §VI-A update-pressure signal (regular ζ-full shipments are the
-    /// baseline cost and carry no pressure).
-    pub fn stream_early_shipments(&self, stream: StreamId) -> u64 {
-        self.streams[stream as usize].batcher.early_shipments()
-    }
-
-    /// Sets (or clears) a stream's MBR routing-width bound — the §VI-A
-    /// adaptive-precision knob.
-    pub fn set_stream_mbr_width(&mut self, stream: StreamId, width: Option<f64>) {
-        self.streams[stream as usize].batcher.set_max_width(width);
-    }
-
-    /// A stream's current MBR routing-width bound.
-    pub fn stream_mbr_width(&self, stream: StreamId) -> Option<f64> {
-        self.streams[stream as usize].batcher.max_width()
     }
 
     /// Starts counting messages (call after warm-up); clears history —

@@ -263,14 +263,7 @@ impl<R: ContentRouter> Cluster<R> {
             .into_iter()
             .filter(|&sid| {
                 let ex = &self.streams[sid as usize].extractor;
-                if !ex.is_warm() {
-                    return false;
-                }
-                let ok = ex.within_distance(&target, limit);
-                if !ok {
-                    self.stream_false_positives[sid as usize] += 1;
-                }
-                ok
+                ex.is_warm() && ex.within_distance(&target, limit)
             })
             .collect();
         self.quality.verified += verified.len() as u64;

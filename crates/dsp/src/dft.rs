@@ -2,9 +2,8 @@
 //!
 //! The paper (Eq. 3/4) uses the unitary convention with a `1/sqrt(N)` factor
 //! in **both** directions, so that the transform preserves signal energy
-//! (Parseval). This module is the reference implementation; the radix-2 FFT
-//! in [`crate::fft`] and the incremental update in [`crate::sliding`] are
-//! tested against it.
+//! (Parseval). This module is the reference implementation; the incremental
+//! update in [`crate::sliding`] is tested against it.
 //!
 //! Kernel values come from the per-length tables in [`crate::kernel`], so the
 //! `n^2` `cis()` calls are paid once per transform length per thread instead
@@ -17,26 +16,6 @@ use crate::kernel;
 /// Computes the unitary DFT of a real signal:
 /// `X_f = (1/sqrt(N)) * sum_i x_i e^{-j 2 pi f i / N}`.
 pub fn dft(signal: &[f64]) -> Vec<Complex64> {
-    let n = signal.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let scale = 1.0 / (n as f64).sqrt();
-    kernel::with_kernel(n, |k| {
-        (0..n)
-            .map(|f| {
-                let mut acc = Complex64::ZERO;
-                for (i, &x) in signal.iter().enumerate() {
-                    acc += k.forward(f, i) * x;
-                }
-                acc.scale(scale)
-            })
-            .collect()
-    })
-}
-
-/// Computes the unitary DFT of a complex signal.
-pub fn dft_complex(signal: &[Complex64]) -> Vec<Complex64> {
     let n = signal.len();
     if n == 0 {
         return Vec::new();
@@ -233,17 +212,6 @@ mod tests {
                 assert_eq!(e.re.to_bits(), g.re.to_bits(), "n={n} bin={f} (re)");
                 assert_eq!(e.im.to_bits(), g.im.to_bits(), "n={n} bin={f} (im)");
             }
-        }
-    }
-
-    #[test]
-    fn dft_complex_matches_real_path() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64 - 4.5).collect();
-        let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::from_re(v)).collect();
-        let a = dft(&x);
-        let b = dft_complex(&xc);
-        for (u, v) in a.iter().zip(b.iter()) {
-            assert!(u.approx_eq(*v, 1e-12));
         }
     }
 }

@@ -15,8 +15,7 @@
 //! `cos` is even and `sin` is odd in the sign of the argument.
 //!
 //! Lengths above [`MAX_CACHED_LEN`] would cost `O(n^2)` memory per length, so
-//! they skip the matrix and fall back to on-the-fly evaluation (the half-size
-//! butterfly twiddle vector is always cached — it is only `O(n)`).
+//! they skip the matrix and fall back to on-the-fly evaluation.
 
 use crate::complex::Complex64;
 use std::cell::RefCell;
@@ -24,8 +23,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Largest transform length whose full `n x n` kernel matrix is cached
-/// (512 complex doubles squared = 4 MiB). Longer transforms still cache the
-/// `O(n)` butterfly twiddles and compute matrix entries on the fly.
+/// (512 complex doubles squared = 4 MiB). Longer transforms compute matrix
+/// entries on the fly.
 pub const MAX_CACHED_LEN: usize = 512;
 
 /// Precomputed unitary-DFT kernel for one transform length.
@@ -36,8 +35,6 @@ pub struct Kernel {
     /// Row-major forward matrix: `fwd[f * n + i] = cis(step * (f * i))`.
     /// `None` above [`MAX_CACHED_LEN`].
     fwd: Option<Vec<Complex64>>,
-    /// Forward butterfly twiddles: `half[i] = cis(step * i)` for `i < n/2`.
-    half: Vec<Complex64>,
 }
 
 impl Kernel {
@@ -53,8 +50,7 @@ impl Kernel {
             }
             t
         });
-        let half = (0..n / 2).map(|i| Complex64::cis(step * i as f64)).collect();
-        Kernel { n, step, fwd, half }
+        Kernel { n, step, fwd }
     }
 
     /// Forward kernel entry `e^{-j 2 pi f i / n}`.
@@ -70,14 +66,6 @@ impl Kernel {
     #[inline]
     pub fn inverse(&self, f: usize, i: usize) -> Complex64 {
         self.forward(f, i).conj()
-    }
-
-    /// Forward butterfly twiddle `e^{-j 2 pi i / n}` for `i < n/2`. For a
-    /// radix-2 stage of length `len`, the stage twiddle `e^{-j 2 pi i / len}`
-    /// is `half_twiddle(i * (n / len))`.
-    #[inline]
-    pub fn half_twiddle(&self, i: usize) -> Complex64 {
-        self.half[i]
     }
 }
 
@@ -143,7 +131,6 @@ mod tests {
             let computed = k.forward(3, 5);
             assert_eq!(direct.re.to_bits(), computed.re.to_bits());
             assert_eq!(direct.im.to_bits(), computed.im.to_bits());
-            assert_eq!(k.half_twiddle(0).re, 1.0);
         });
     }
 

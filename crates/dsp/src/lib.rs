@@ -6,7 +6,6 @@
 //! * [`complex::Complex64`] — complex arithmetic;
 //! * [`dft`] — the unitary DFT / inverse DFT reference (paper Eq. 3/4) and
 //!   prefix reconstruction (Eq. 7);
-//! * [`fft`] — iterative radix-2 FFT with identical scaling;
 //! * [`sliding::SlidingDft`] — the O(1)-per-coefficient incremental update
 //!   (Eq. 5) that makes per-item processing feasible;
 //! * [`mod@normalize`] — z-normalization (Eq. 1) and unit-norm normalization
@@ -23,7 +22,6 @@
 pub mod complex;
 pub mod dft;
 pub mod features;
-pub mod fft;
 pub mod kernel;
 pub mod mbr;
 pub mod normalize;

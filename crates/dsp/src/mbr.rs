@@ -92,16 +92,6 @@ impl Mbr {
         self.extend_point(&other.high.clone());
     }
 
-    /// Widens every dimension by `pad` on both sides (adaptive-precision
-    /// extension, §VI-A).
-    pub fn inflate(&mut self, pad: f64) {
-        assert!(pad >= 0.0, "padding must be non-negative");
-        for (l, h) in self.low.iter_mut().zip(self.high.iter_mut()) {
-            *l -= pad;
-            *h += pad;
-        }
-    }
-
     /// True if `p` lies inside (inclusive).
     pub fn contains(&self, p: &[f64]) -> bool {
         p.len() == self.dims()
@@ -230,15 +220,6 @@ mod tests {
         a.extend_mbr(&c);
         assert!(a.intersects(&c));
         assert!(a.contains(&[1.2, 1.7]));
-    }
-
-    #[test]
-    fn inflate_grows_symmetrically() {
-        let mut m = Mbr::from_corners(vec![0.0], vec![1.0]);
-        m.inflate(0.25);
-        assert_eq!(m.low(), &[-0.25]);
-        assert_eq!(m.high(), &[1.25]);
-        assert!((m.margin() - 1.5).abs() < 1e-12);
     }
 
     #[test]

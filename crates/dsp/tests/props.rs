@@ -2,7 +2,6 @@
 
 use dsi_dsp::complex::Complex64;
 use dsi_dsp::dft::{dft, energy, idft, spectrum_energy};
-use dsi_dsp::fft::{fft, ifft};
 use dsi_dsp::wavelet::{haar_forward, haar_inverse, HaarSynopsis};
 use dsi_dsp::{
     normalize, normalized_distance, FeatureExtractor, Mbr, Normalization, SlidingStats,
@@ -67,29 +66,6 @@ proptest! {
         let e1 = energy(&x);
         let e2 = spectrum_energy(&dft(&x));
         prop_assert!((e1 - e2).abs() <= 1e-6 * (1.0 + e1));
-    }
-
-    #[test]
-    fn fft_equals_dft(x in prop::collection::vec(finite_f64(), 1..6)
-            .prop_map(|seed| {
-                // Expand to a power-of-two length deterministically.
-                let n = 64;
-                (0..n).map(|i| seed[i % seed.len()] * ((i / seed.len()) as f64 + 1.0)).collect::<Vec<f64>>()
-            })) {
-        let a = dft(&x);
-        let b = fft(&x);
-        for (u, v) in a.iter().zip(b.iter()) {
-            prop_assert!(u.approx_eq(*v, 1e-5), "{u:?} vs {v:?}");
-        }
-    }
-
-    #[test]
-    fn fft_roundtrip(x in prop::collection::vec(finite_f64(), 1..5)
-            .prop_map(|seed| (0..32).map(|i| seed[i % seed.len()] + i as f64).collect::<Vec<f64>>())) {
-        let back = ifft(&fft(&x));
-        for (orig, rec) in x.iter().zip(back.iter()) {
-            prop_assert!((orig - rec.re).abs() < 1e-7);
-        }
     }
 
     // ----- Haar wavelets -----

@@ -28,14 +28,13 @@ use crate::source::SourceFile;
 /// path. Benches, the fault harness, stream generators and the linter
 /// itself never run inside the ingest hot path, and including them only
 /// adds name-collision noise to the nominal resolution.
-const GRAPH_CRATES: [&str; 7] = [
+pub(crate) const GRAPH_CRATES: [&str; 6] = [
     "crates/core/",
     "crates/chord/",
     "crates/simnet/",
     "crates/dsp/",
     "crates/sketch/",
     "crates/trace/",
-    "crates/hierarchy/",
 ];
 
 /// One call site inside a function body.

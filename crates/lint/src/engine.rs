@@ -35,24 +35,27 @@ pub fn collect_files(root: &Path) -> Vec<PathBuf> {
     for dir in WALK_ROOTS {
         let base = root.join(dir);
         if base.is_dir() {
-            walk(&base, &mut out);
+            walk(root, &base, &mut out);
         }
     }
     out.sort();
     out
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     let mut entries: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();
     for path in entries {
-        let unix = path.to_string_lossy().replace('\\', "/");
+        // Judged relative to the root: a checkout under some `…/target/`
+        // directory must still be walked.
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        let unix = rel.to_string_lossy().replace('\\', "/");
         if EXCLUDED.iter().any(|x| unix.contains(x)) {
             continue;
         }
         if path.is_dir() {
-            walk(&path, out);
+            walk(root, &path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -70,9 +73,18 @@ pub fn parse_workspace(root: &Path) -> Vec<SourceFile> {
         .collect()
 }
 
-/// Run the full lint over `root`.
+/// Run the full lint over `root`, scope check included.
 pub fn run(root: &Path) -> Outcome {
-    lint_files(&parse_workspace(root))
+    let files = parse_workspace(root);
+    let mut out = lint_files(&files);
+    out.violations.extend(rules::stale_scope(&out.context, &files));
+    out.violations.sort_by_key(report_key);
+    out
+}
+
+/// Deterministic report order: file, line, rule.
+fn report_key(v: &Violation) -> (String, usize, &'static str) {
+    (v.file.clone(), v.line, v.rule)
 }
 
 /// Core two-pass lint over already-parsed files (fixture tests enter here).
@@ -90,10 +102,8 @@ pub fn lint_files(files: &[SourceFile]) -> Outcome {
         }
         out.violations.extend(rules::unknown_markers(f));
     }
-    // Deterministic report order.
-    let key = |v: &Violation| (v.file.clone(), v.line, v.rule);
-    out.violations.sort_by_key(key);
-    out.allowed.sort_by_key(|(v, _)| key(v));
+    out.violations.sort_by_key(report_key);
+    out.allowed.sort_by_key(|(v, _)| report_key(v));
     out
 }
 
@@ -180,14 +190,15 @@ fn json_str(s: &str) -> String {
 /// `// dsilint: allow(<rule>, TODO: justify)` comment above every
 /// unsuppressed violation. The `TODO` reason deliberately does **not**
 /// suppress the rule — the scaffold marks where a human must write the
-/// real justification. An unknown marker gets no scaffold: the fix is to
-/// delete it.
+/// real justification. An unknown marker or a stale scope entry gets no
+/// scaffold: the fix is to delete it.
 ///
 /// Returns `(path, new_content)` pairs; the caller decides whether to
 /// write them.
 pub fn fix_markers(root: &Path, outcome: &Outcome) -> Vec<(PathBuf, String)> {
     let mut by_file: Vec<(&str, Vec<&Violation>)> = Vec::new();
-    for v in outcome.violations.iter().filter(|v| v.rule != rules::UNKNOWN_MARKER) {
+    let markable = |v: &&Violation| v.rule != rules::UNKNOWN_MARKER && v.rule != rules::STALE_SCOPE;
+    for v in outcome.violations.iter().filter(markable) {
         match by_file.iter_mut().find(|(f, _)| *f == v.file) {
             Some((_, vs)) => vs.push(v),
             None => by_file.push((&v.file, vec![v])),

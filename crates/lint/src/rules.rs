@@ -27,6 +27,12 @@ pub const RULE_IDS: [(&str, &str); 2] = [("A01", A01), ("D01", D01)];
 /// suppresses nothing, so it is reported (and cannot itself be allowed).
 pub const UNKNOWN_MARKER: &str = "unknown-marker";
 
+/// Pseudo-rule of a workspace run whose gate lost scope: a crate prefix
+/// of the call graph or of D01 that matches no walked file, or an A01 root
+/// that resolves to no function. Like an unknown marker it is reported and
+/// cannot be allowed.
+pub const STALE_SCOPE: &str = "stale-scope";
+
 /// One rule hit (before allow-marker filtering).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -71,6 +77,52 @@ pub struct Context {
     /// type split across a module's files keeps its fields visible to D01
     /// in every one of them.
     pub module_hash_names: Vec<(String, Vec<String>)>,
+}
+
+/// Scope check of a workspace run (fixture sets skip it: they walk one
+/// file on purpose). Each stale entry is reported at its line in the list
+/// that names it, so deleting or renaming a crate or an entry point cannot
+/// narrow the gate without a word.
+pub(crate) fn stale_scope(ctx: &Context, files: &[SourceFile]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut flag = |list_file: &str, needle: String, message: String| {
+        let at = files
+            .iter()
+            .find(|f| f.path == list_file)
+            .and_then(|f| f.raw.iter().position(|l| l.contains(&needle)).map(|i| (f, i)));
+        out.push(Violation {
+            rule: STALE_SCOPE,
+            file: list_file.to_string(),
+            line: at.map_or(0, |(_, i)| i + 1),
+            message,
+            excerpt: at.map(|(f, i)| f.raw[i].trim().to_string()).unwrap_or_default(),
+        });
+    };
+    let lists = [
+        ("GRAPH_CRATES", "crates/lint/src/callgraph.rs", &crate::callgraph::GRAPH_CRATES[..]),
+        ("D01_CRATES", "crates/lint/src/rules.rs", &D01_CRATES[..]),
+    ];
+    for (list, list_file, prefixes) in lists {
+        for p in prefixes {
+            if !files.iter().any(|f| f.path.starts_with(p)) {
+                flag(
+                    list_file,
+                    format!("\"{p}\""),
+                    format!("{list} prefix `{p}` matches no walked file"),
+                );
+            }
+        }
+    }
+    for (q, n) in A01_ENTRIES {
+        if !ctx.graph.fns.iter().any(|fd| fd.qual.as_deref() == Some(q) && fd.name == n) {
+            flag(
+                "crates/lint/src/rules.rs",
+                format!("(\"{q}\", \"{n}\")"),
+                format!("A01 root `{q}::{n}` resolves to no function"),
+            );
+        }
+    }
+    out
 }
 
 /// A01 reachability roots: the zero-alloc contract's entry points
@@ -266,8 +318,7 @@ pub fn hot_path_alloc(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
 // ----------------------------------------------------------------------
 
 /// Crates whose routed / emitted state must not depend on hash order.
-const D01_CRATES: [&str; 5] =
-    ["crates/core/", "crates/chord/", "crates/simnet/", "crates/hierarchy/", "crates/trace/"];
+const D01_CRATES: [&str; 4] = ["crates/core/", "crates/chord/", "crates/simnet/", "crates/trace/"];
 
 /// Iteration methods whose order is the hasher's.
 const ITER_METHODS: [&str; 8] = [

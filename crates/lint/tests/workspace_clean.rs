@@ -5,6 +5,7 @@
 use std::path::Path;
 
 use dsi_lint::engine;
+use dsi_lint::rules::STALE_SCOPE;
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap()
@@ -48,4 +49,33 @@ fn fixtures_and_vendor_are_excluded_from_the_walk() {
         && !f.path.contains("target/")));
     // But the linter does police itself.
     assert!(files.iter().any(|f| f.path == "crates/lint/src/main.rs"));
+}
+
+#[test]
+fn workspace_run_reports_scope_that_matches_nothing() {
+    // A tree holding only crates/core with one of the four A01 roots: every
+    // other graph / D01 crate prefix and the three missing roots must be
+    // reported, or deleting a crate silently narrows the gate.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale_scope");
+    let src = root.join("crates/core/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub struct Cluster;\nimpl Cluster {\n    pub fn post_value(&mut self) {}\n}\n",
+    )
+    .unwrap();
+    let outcome = engine::run(&root);
+    let messages: Vec<&str> = outcome.violations.iter().map(|v| v.message.as_str()).collect();
+    assert!(outcome.violations.iter().all(|v| v.rule == STALE_SCOPE), "{messages:?}");
+    for want in [
+        "GRAPH_CRATES prefix `crates/dsp/` matches no walked file",
+        "D01_CRATES prefix `crates/chord/` matches no walked file",
+        "A01 root `Cluster::ingest_batch` resolves to no function",
+    ] {
+        assert!(messages.contains(&want), "missing `{want}` in {messages:?}");
+    }
+    assert!(messages.iter().all(|m| !m.contains("crates/core/") && !m.contains("post_value")));
+    // Fixture runs over single files never get the scope check.
+    let files = engine::parse_workspace(&root);
+    assert!(engine::lint_files(&files).violations.is_empty());
 }

@@ -9,7 +9,6 @@
 //! * [`hostload`] — CMU Host Load-like AR(1)+burst traces (Fig. 3(b)
 //!   substitute);
 //! * [`queries`] — similarity / inner-product query workloads;
-//! * [`seasonal`] — harmonic (diurnal) streams over drifting baselines;
 //! * [`skew`] — adversarial skew: latent-factor correlated streams,
 //!   Zipfian query popularity, multi-tenant quotas;
 //! * [`config::WorkloadConfig`] — the Table I parameters.
@@ -20,7 +19,6 @@ pub mod config;
 pub mod hostload;
 pub mod queries;
 pub mod random_walk;
-pub mod seasonal;
 pub mod skew;
 pub mod stocks;
 
@@ -28,6 +26,5 @@ pub use config::WorkloadConfig;
 pub use hostload::{lag1_autocorrelation, HostLoad, HostLoadConfig};
 pub use queries::{InnerProductQuerySpec, QueryWorkload, SimilarityQuerySpec};
 pub use random_walk::RandomWalk;
-pub use seasonal::{Harmonic, SeasonalStream};
 pub use skew::{CorrelatedWalks, TenantLedger, TenantPolicy, ZipfSampler};
 pub use stocks::{pearson, Market, MarketConfig, StockRecord};

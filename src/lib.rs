@@ -10,12 +10,11 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`dsp`] | `dsi-dsp` | DFT/FFT, sliding DFT (Eq. 5), normalization, feature vectors, MBRs |
+//! | [`dsp`] | `dsi-dsp` | unitary DFT, sliding DFT (Eq. 5), normalization, feature vectors, MBRs |
 //! | [`chord`] | `dsi-chord` | SHA-1, identifier circle, finger tables, lookup, churn, range multicast |
 //! | [`simnet`] | `dsi-simnet` | discrete-event engine, 50 ms/hop cost model, metrics |
 //! | [`streamgen`] | `dsi-streamgen` | random walks, correlated/Zipf skew, synthetic stocks, host-load traces, query workloads |
 //! | [`core`] | `dsi-core` | the middleware: key mapping (Eq. 6), MBR batching, query handling, the §V experiment driver |
-//! | [`hierarchy`] | `dsi-hierarchy` | §VI extensions: leader hierarchy, variable selectivity, adaptive precision |
 //!
 //! ## Quickstart
 //!
@@ -45,7 +44,6 @@
 pub use dsi_chord as chord;
 pub use dsi_core as core;
 pub use dsi_dsp as dsp;
-pub use dsi_hierarchy as hierarchy;
 pub use dsi_simnet as simnet;
 pub use dsi_streamgen as streamgen;
 pub use dsi_trace as trace;
@@ -63,7 +61,6 @@ pub mod prelude {
         SystemReport,
     };
     pub use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, Normalization};
-    pub use dsi_hierarchy::{AdaptivePrecision, HierarchicalIndex, Hierarchy};
     pub use dsi_simnet::SimTime;
     pub use dsi_streamgen::{
         CorrelatedWalks, HostLoad, Market, MarketConfig, QueryWorkload, RandomWalk, TenantLedger,
