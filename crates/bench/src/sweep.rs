@@ -8,21 +8,10 @@
 //! bit-identical to a sequential `items.iter().map(f)` regardless of thread
 //! scheduling.
 
-use dsi_core::{run_experiment, ExperimentConfig, SystemReport};
+use dsi_core::{run_experiment, worker_count, ExperimentConfig, SystemReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-/// Worker count for a sweep: `DSI_WORKERS` if set, else host parallelism,
-/// clamped to `[1, cap]`.
-fn worker_count(cap: usize) -> usize {
-    std::env::var("DSI_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, cap.max(1))
-}
 
 /// Runs `f` over `items` on a `std::thread::scope` worker pool, returning
 /// results in input order. Deterministic for deterministic `f`: the output
@@ -40,7 +29,8 @@ where
     }
     let slots = Mutex::new(slots);
     let cursor = AtomicUsize::new(0);
-    let workers = worker_count(items.len());
+    // No more workers than items (there is at least one).
+    let workers = worker_count().min(items.len());
     thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

@@ -11,8 +11,7 @@
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::query::{AlertCondition, InnerProductQuery, QueryId, StreamId};
 use dsi_chord::{ContentRouter, Ring};
-use dsi_simnet::SimTime;
-use std::collections::HashMap;
+use dsi_simnet::{DetMap, SimTime};
 
 /// A similarity push: the streams detected similar to a subscribed pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +42,8 @@ pub struct InnerProductPush {
 pub struct StreamIndex<R: ContentRouter = Ring> {
     cluster: Cluster<R>,
     /// How many pushes each subscription's consumer has already taken.
-    consumed_similarity: HashMap<QueryId, usize>,
-    consumed_ip: HashMap<QueryId, usize>,
+    consumed_similarity: DetMap<QueryId, usize>,
+    consumed_ip: DetMap<QueryId, usize>,
 }
 
 impl StreamIndex<Ring> {
@@ -57,7 +56,11 @@ impl StreamIndex<Ring> {
 impl<R: ContentRouter> StreamIndex<R> {
     /// Wraps an existing cluster (any backend).
     pub fn over(cluster: Cluster<R>) -> Self {
-        StreamIndex { cluster, consumed_similarity: HashMap::new(), consumed_ip: HashMap::new() }
+        StreamIndex {
+            cluster,
+            consumed_similarity: DetMap::default(),
+            consumed_ip: DetMap::default(),
+        }
     }
 
     /// Access to the underlying cluster (metrics, topology, quality).

@@ -11,8 +11,7 @@ use crate::query::StreamId;
 use crate::reliability::PendingEffect;
 use dsi_chord::{ChordId, ContentRouter, MulticastPlan};
 use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, SummaryScratch};
-use dsi_simnet::SimTime;
-use std::collections::HashMap;
+use dsi_simnet::{DetMap, SimTime};
 
 /// Batches smaller than this are summarized inline: thread-spawn overhead
 /// would dominate the O(k)-per-item sliding-DFT work.
@@ -25,7 +24,7 @@ const PARALLEL_INGEST_MIN: usize = 32;
 /// re-reads the cgroup quota files on every call (tens of microseconds on
 /// Linux), which used to dominate small per-tick batches. The `DSI_WORKERS`
 /// override stays dynamic so harnesses can re-point it between configs.
-pub(crate) fn worker_count() -> usize {
+pub fn worker_count() -> usize {
     static HOST_PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     std::env::var("DSI_WORKERS")
         .ok()
@@ -43,7 +42,7 @@ pub(crate) fn worker_count() -> usize {
 /// own window keeps sliding but ships nothing.
 #[inline(always)]
 fn summarize_one(
-    nodes: &HashMap<ChordId, DataCenter>,
+    nodes: &DetMap<ChordId, DataCenter>,
     s: &mut StreamRuntime,
     value: f64,
     scratch: &mut SummaryScratch,
@@ -73,7 +72,7 @@ fn store_last_feature(s: &mut StreamRuntime, scratch: &SummaryScratch) {
 /// Worker body for [`Cluster::ingest_batch`]'s parallel path: one private
 /// scratch per worker, then [`summarize_one`] per task.
 fn summarize_chunk(
-    nodes: &HashMap<ChordId, DataCenter>,
+    nodes: &DetMap<ChordId, DataCenter>,
     tasks: &mut [(&mut StreamRuntime, f64)],
     emitted: &mut [Option<Mbr>],
 ) {

@@ -94,7 +94,7 @@ impl<R: ContentRouter> Cluster<R> {
         // newly inside a query's radius range get its subscription. Stale
         // copies outside the range are harmless (aggregation only reads the
         // covering set) and expire with the query.
-        let mut sims: Vec<SimilarityQuery> = self
+        let sims: Vec<SimilarityQuery> = self
             .queries
             .values()
             .filter_map(|q| match q {
@@ -102,7 +102,6 @@ impl<R: ContentRouter> Cluster<R> {
                 QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
-        sims.sort_unstable_by_key(|q| q.id);
         for q in sims {
             if filter.is_some_and(|now| q.expired(now)) {
                 continue;
@@ -180,8 +179,9 @@ impl Cluster<Ring> {
         self.pending.retain(|p| p.to != id);
         // Chord repairs itself; the middleware keeps operating meanwhile.
         self.stabilize();
-        // Re-assign orphaned aggregators.
-        let mut fixes: Vec<(QueryId, ChordId)> = self
+        // Re-assign orphaned aggregators, in query-id order so recovery
+        // replays byte-identically.
+        let fixes: Vec<(QueryId, ChordId)> = self
             .queries
             .iter()
             .filter_map(|(qid, q)| match q {
@@ -198,8 +198,6 @@ impl Cluster<Ring> {
                 QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
-        // Repair in query-id order so recovery replays byte-identically.
-        fixes.sort_unstable_by_key(|&(qid, _)| qid);
         for (qid, agg) in fixes {
             if let Some(QueryRuntime::Similarity(sq)) = self.queries.get_mut(&qid) {
                 sq.aggregator = agg;
@@ -402,10 +400,7 @@ impl Cluster<Ring> {
             }
         }
         // Virtual identifiers live or die with their host's connectivity.
-        let mut hosted: Vec<(ChordId, ChordId)> =
-            self.virtual_of.iter().map(|(&v, &h)| (v, h)).collect();
-        hosted.sort_unstable();
-        for (v, host) in hosted {
+        for (&v, &host) in &self.virtual_of {
             let side = assignment.iter().find(|&&(id, _)| id == host).map_or(0, |&(_, s)| s);
             if side != 0 && !assignment.iter().any(|&(id, _)| id == v) {
                 assignment.push((v, side));

@@ -21,6 +21,8 @@ mod notify;
 mod queries;
 mod send;
 
+pub use ingest::worker_count;
+
 use crate::aggregate::{AggregateNotification, AggregateQuery, AggregateRuntime};
 use crate::batching::MbrBatcher;
 use crate::datacenter::DataCenter;
@@ -31,10 +33,10 @@ use crate::query::{
 use crate::reliability::{PendingDelivery, ReliabilityState};
 use dsi_chord::{BuildRouter, ChordId, ContentRouter, IdSpace, RangeStrategy, Ring};
 use dsi_dsp::{FeatureExtractor, FeatureVector, Mbr, SummaryScratch};
-use dsi_simnet::{FaultPlan, Metrics, SimTime};
+use dsi_simnet::{DetMap, FaultPlan, Metrics, SimTime};
 use dsi_streamgen::WorkloadConfig;
 use dsi_trace::Tracer;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Static configuration of a cluster.
 #[derive(Debug, Clone)]
@@ -110,25 +112,26 @@ pub struct Cluster<R: ContentRouter = Ring> {
     cfg: ClusterConfig,
     space: IdSpace,
     ring: R,
-    nodes: HashMap<ChordId, DataCenter>,
+    nodes: DetMap<ChordId, DataCenter>,
     node_order: Vec<ChordId>,
     streams: Vec<StreamRuntime>,
     /// Streams per home data center, ascending id: the notify cycle's
     /// location refresh reads its node's list instead of scanning every
     /// stream. A crashed home keeps its list until its streams are re-homed.
-    homed: HashMap<ChordId, Vec<StreamId>>,
-    queries: HashMap<QueryId, QueryRuntime>,
+    homed: DetMap<ChordId, Vec<StreamId>>,
+    /// Posted queries; every NPER round walks them in id order.
+    queries: BTreeMap<QueryId, QueryRuntime>,
     /// Live aggregate queries with their per-node replica sketches, in
     /// posting (= id) order. Empty unless the driver posts aggregate
     /// queries, so undriven runs stay byte-identical (DESIGN.md §15).
     aggregates: Vec<AggregateRuntime>,
     /// Delivered aggregate notifications, per query.
-    aggregate_notifications: HashMap<QueryId, Vec<AggregateNotification>>,
-    notifications: HashMap<QueryId, Vec<MatchNotification>>,
-    ip_results: HashMap<QueryId, Vec<(SimTime, f64)>>,
-    ip_alerts: HashMap<QueryId, Vec<(SimTime, f64)>>,
+    aggregate_notifications: DetMap<QueryId, Vec<AggregateNotification>>,
+    notifications: DetMap<QueryId, Vec<MatchNotification>>,
+    ip_results: DetMap<QueryId, Vec<(SimTime, f64)>>,
+    ip_alerts: DetMap<QueryId, Vec<(SimTime, f64)>>,
     /// Client-side location cache (§IV-D): (client, stream) -> source node.
-    location_cache: HashMap<(ChordId, StreamId), ChordId>,
+    location_cache: DetMap<(ChordId, StreamId), ChordId>,
     /// Location-service lookups avoided by the cache.
     location_cache_hits: u64,
     /// Location-service lookups that found no record (lost to churn).
@@ -162,14 +165,14 @@ pub struct Cluster<R: ContentRouter = Ring> {
     pending: Vec<PendingDelivery>,
     /// Achieved dissemination coverage per query posted while a fault
     /// plan was armed (1.0 = the full key range was confirmed reached).
-    query_coverage: HashMap<QueryId, f64>,
+    query_coverage: DetMap<QueryId, f64>,
     /// Per-round load history (see [`crate::load`]); filled only when the
     /// driver calls [`Cluster::record_load_round`], so undriven runs stay
     /// byte-identical to the historical behavior.
     load_ledger: LoadLedger,
     /// Virtual identifier → physical host it is accounted to. Empty until
     /// re-weighting acts.
-    virtual_of: HashMap<ChordId, ChordId>,
+    virtual_of: BTreeMap<ChordId, ChordId>,
     /// Re-weighting policy; `None` (the default) disables the mitigation.
     reweight: Option<ReweightConfig>,
     /// Re-weighting actions taken, in execution order.
@@ -232,14 +235,14 @@ impl<R: BuildRouter> Cluster<R> {
             nodes,
             node_order: ids,
             streams: Vec::new(),
-            homed: HashMap::new(),
-            queries: HashMap::new(),
+            homed: DetMap::default(),
+            queries: BTreeMap::new(),
             aggregates: Vec::new(),
-            aggregate_notifications: HashMap::new(),
-            notifications: HashMap::new(),
-            ip_results: HashMap::new(),
-            ip_alerts: HashMap::new(),
-            location_cache: HashMap::new(),
+            aggregate_notifications: DetMap::default(),
+            notifications: DetMap::default(),
+            ip_results: DetMap::default(),
+            ip_alerts: DetMap::default(),
+            location_cache: DetMap::default(),
             location_cache_hits: 0,
             location_misses: 0,
             ledger: send::Ledger::new(),
@@ -253,9 +256,9 @@ impl<R: BuildRouter> Cluster<R> {
             round_scan: notify::RoundScan::default(),
             reliability: None,
             pending: Vec::new(),
-            query_coverage: HashMap::new(),
+            query_coverage: DetMap::default(),
             load_ledger: LoadLedger::new(),
-            virtual_of: HashMap::new(),
+            virtual_of: BTreeMap::new(),
             reweight: None,
             reweight_actions: Vec::new(),
             ingest_scratch: SummaryScratch::default(),
@@ -432,8 +435,7 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// Total aggregate notifications delivered across all queries.
     pub fn total_aggregate_notifications(&self) -> u64 {
-        // dsilint: allow(unordered-iter, commutative sum over all queries)
-        self.aggregate_notifications.values().map(|v| v.len() as u64).sum()
+        self.aggregate_notifications.iter_sorted().map(|(_, v)| v.len() as u64).sum()
     }
 
     /// The live (unexpired, unpurged) aggregate query with this id.
@@ -452,8 +454,7 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// Total match notifications delivered across all queries.
     pub fn total_notifications(&self) -> u64 {
-        // dsilint: allow(unordered-iter, commutative sum over all queries)
-        self.notifications.values().map(|v| v.len() as u64).sum()
+        self.notifications.iter_sorted().map(|(_, v)| v.len() as u64).sum()
     }
 
     /// Whether churn operations automatically rebalance replicas.
@@ -494,7 +495,6 @@ impl<R: ContentRouter> Cluster<R> {
 
     /// Number of live virtual identifiers created by re-weighting.
     pub fn virtual_node_count(&self) -> usize {
-        // dsilint: allow(unordered-iter, commutative count over map keys)
         self.virtual_of.keys().filter(|id| self.nodes.contains_key(id)).count()
     }
 

@@ -11,9 +11,8 @@ use crate::reliability::PendingEffect;
 use crate::store::axis_gap;
 use dsi_chord::{covering_nodes_from, multicast, reachable_fraction, ChordId, ContentRouter};
 use dsi_dsp::normalize;
-use dsi_simnet::{InputEvent, MsgClass, SimTime};
+use dsi_simnet::{DetMap, InputEvent, MsgClass, SimTime};
 use dsi_sketch::EcmSketch;
-use std::collections::HashMap;
 
 /// One NPER round's shared candidate scan (DESIGN.md §9): the plan of
 /// every live similarity query with its covering set, and one pass per
@@ -36,7 +35,7 @@ pub(super) struct RoundScan {
     hits: Vec<Option<Vec<u64>>>,
     /// Per covering node: the planned queries it serves, and the store
     /// generation its one scan read (`None` until scanned).
-    shards: HashMap<ChordId, (Vec<usize>, Option<u64>)>,
+    shards: DetMap<ChordId, (Vec<usize>, Option<u64>)>,
 }
 
 impl RoundScan {
@@ -148,7 +147,9 @@ impl<R: ContentRouter> Cluster<R> {
         }
 
         // Response aggregation for queries whose middle node this is.
-        let mut aggregated: Vec<SimilarityQuery> = self
+        // Id order: response traffic (and its causal trace) must be
+        // reproducible under a pinned seed.
+        let aggregated: Vec<SimilarityQuery> = self
             .queries
             .values()
             .filter_map(|q| match q {
@@ -158,9 +159,6 @@ impl<R: ContentRouter> Cluster<R> {
                 QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
-        // Id order, not HashMap order: response traffic (and its causal
-        // trace) must be reproducible under a pinned seed.
-        aggregated.sort_unstable_by_key(|q| q.id);
         for q in aggregated {
             let matches = self.aggregate_and_verify(&q, now);
             // Periodic response to the client, routed over the overlay. A
@@ -201,10 +199,9 @@ impl<R: ContentRouter> Cluster<R> {
             }
         }
 
-        // Inner-product pushes for streams sourced here.
-        let mut pushes: Vec<InnerProductQuery> =
+        // Inner-product pushes for streams sourced here, in id order.
+        let pushes: Vec<InnerProductQuery> =
             self.nodes[&node].active_ip_subscriptions(now).cloned().collect();
-        pushes.sort_unstable_by_key(|q| q.id);
         for q in pushes {
             let s = &self.streams[q.stream as usize];
             if !s.extractor.is_warm() {
@@ -318,19 +315,14 @@ impl<R: ContentRouter> Cluster<R> {
     /// its side-aware covering set and an empty candidate set.
     fn plan_round(&mut self, key: (SimTime, u64, u64), answered: ChordId) {
         let now = key.0;
-        let mut live: Vec<&SimilarityQuery> = self
-            .queries
-            .values()
-            .filter_map(|q| match q {
-                QueryRuntime::Similarity(sq) if sq.aggregator != answered && !sq.expired(now) => {
-                    Some(sq)
-                }
-                QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
-            })
-            .collect();
-        live.sort_unstable_by_key(|q| q.id);
+        let live = self.queries.values().filter_map(|q| match q {
+            QueryRuntime::Similarity(sq) if sq.aggregator != answered && !sq.expired(now) => {
+                Some(sq)
+            }
+            QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
+        });
         let mut round = RoundScan { key: Some(key), ..RoundScan::default() };
-        for (i, q) in live.into_iter().enumerate() {
+        for (i, q) in live.enumerate() {
             let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
             let covering = covering_nodes_from(&self.ring, q.aggregator, lo, hi);
             for &n in &covering {
@@ -377,7 +369,7 @@ impl<R: ContentRouter> Cluster<R> {
         // aggregator; with churn the tree tracks the current ring.
         let lo = self.space.add(root, 1);
         let plan = multicast(&self.ring, root, lo, root, self.cfg.strategy);
-        let mut children: HashMap<ChordId, Vec<ChordId>> = HashMap::new();
+        let mut children: DetMap<ChordId, Vec<ChordId>> = DetMap::default();
         for (from, to) in plan.forward_edges() {
             children.entry(from).or_default().push(to);
         }
@@ -392,7 +384,7 @@ impl<R: ContentRouter> Cluster<R> {
         }
         // Per-node accumulator: merged partial + its contributors. Only
         // non-empty partials exist (and only those reach the wire).
-        let mut acc: HashMap<ChordId, (EcmSketch, Vec<(ChordId, SimTime)>)> = HashMap::new();
+        let mut acc: DetMap<ChordId, (EcmSketch, Vec<(ChordId, SimTime)>)> = DetMap::default();
         for &v in pre.iter().rev() {
             let mut sk: Option<EcmSketch> = None;
             let mut contrib: Vec<(ChordId, SimTime)> = Vec::new();

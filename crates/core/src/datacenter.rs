@@ -10,9 +10,9 @@ use crate::query::{InnerProductQuery, QueryId, SimilarityQuery, StreamId};
 use crate::store::{SummaryRef, SummaryStore};
 use dsi_chord::ChordId;
 use dsi_dsp::Mbr;
-use dsi_simnet::SimTime;
+use dsi_simnet::{DetMap, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An MBR stored at a data center, with provenance and expiry (BSPAN).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,12 +51,13 @@ pub struct DataCenter {
     /// shard to this node's dim-0 key interval, so it carries no local
     /// index of its own.
     store: SummaryStore,
-    /// Similarity subscriptions replicated over this node's interval.
-    subscriptions: HashMap<QueryId, SimilarityQuery>,
-    /// Inner-product subscriptions for streams this node sources.
-    ip_subscriptions: HashMap<QueryId, InnerProductQuery>,
+    /// Similarity subscriptions replicated over this node's interval, by
+    /// id (the accessors below yield them in id order).
+    subscriptions: BTreeMap<QueryId, SimilarityQuery>,
+    /// Inner-product subscriptions for streams this node sources, by id.
+    ip_subscriptions: BTreeMap<QueryId, InnerProductQuery>,
     /// Location-service shard: streams whose `h2` key this node owns.
-    location: HashMap<StreamId, ChordId>,
+    location: DetMap<StreamId, ChordId>,
     /// Peak number of simultaneously stored MBRs (storage accounting).
     peak_mbrs: usize,
     /// Lower bound (ms) on the earliest expiry across the three soft-state
@@ -223,31 +224,28 @@ impl DataCenter {
         self.subscriptions.contains_key(&q)
     }
 
-    /// Every similarity subscription, including not-yet-purged expired ones.
+    /// Every similarity subscription, including not-yet-purged expired
+    /// ones, in id order.
     pub fn all_subscriptions(&self) -> impl Iterator<Item = &SimilarityQuery> {
-        // dsilint: allow(unordered-iter, accessor; ordering consumers sort, see notify_cycle)
         self.subscriptions.values()
     }
 
     /// Every inner-product subscription, including not-yet-purged expired
-    /// ones.
+    /// ones, in id order.
     pub fn all_ip_subscriptions(&self) -> impl Iterator<Item = &InnerProductQuery> {
-        // dsilint: allow(unordered-iter, accessor; ordering consumers sort, see notify_cycle)
         self.ip_subscriptions.values()
     }
 
-    /// Active similarity subscriptions at `now`.
+    /// Active similarity subscriptions at `now`, in id order.
     pub fn active_subscriptions(&self, now: SimTime) -> impl Iterator<Item = &SimilarityQuery> {
-        // dsilint: allow(unordered-iter, accessor; ordering consumers sort, see notify_cycle)
         self.subscriptions.values().filter(move |q| !q.expired(now))
     }
 
-    /// Active inner-product subscriptions at `now`.
+    /// Active inner-product subscriptions at `now`, in id order.
     pub fn active_ip_subscriptions(
         &self,
         now: SimTime,
     ) -> impl Iterator<Item = &InnerProductQuery> {
-        // dsilint: allow(unordered-iter, accessor; ordering consumers sort, see notify_cycle)
         self.ip_subscriptions.values().filter(move |q| !q.expired(now))
     }
 

@@ -44,7 +44,7 @@ pub use aggregate::{
 };
 pub use api::{InnerProductPush, SimilarityPush, StreamIndex};
 pub use batching::{batching_saving, MbrBatcher, HEADER_BYTES};
-pub use cluster::{Cluster, ClusterConfig, QualityStats, StreamRuntime};
+pub use cluster::{worker_count, Cluster, ClusterConfig, QualityStats, StreamRuntime};
 pub use datacenter::{DataCenter, StoredMbr};
 pub use dsi_sketch::{ErrorBound, SketchDims};
 pub use load::{gini, LoadLedger, NodeLoad, ReweightAction, ReweightConfig, RoundLoad};

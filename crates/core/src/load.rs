@@ -23,9 +23,9 @@
 // makes it unreachable in an `expect` attribute (DESIGN.md §11).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use dsi_simnet::DetMap;
 use dsi_trace::QuantileBuffer;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Ring identifiers are plain `u64`s here (mirrors `dsi_chord::ChordId`
 /// without a dependency cycle concern — `dsi-core` already re-exports it).
@@ -131,7 +131,7 @@ pub fn gini(loads: &[u64]) -> f64 {
 pub struct LoadLedger {
     rounds: Vec<RoundLoad>,
     /// Cumulative message count per identifier at the previous round.
-    prev: HashMap<ChordId, u64>,
+    prev: DetMap<ChordId, u64>,
 }
 
 impl LoadLedger {

@@ -19,7 +19,7 @@
 
 use crate::complex::Complex64;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Largest transform length whose full `n x n` kernel matrix is cached
@@ -75,7 +75,7 @@ impl Kernel {
 /// own table once and then share nothing — no locks on the transform path.
 pub fn with_kernel<R>(n: usize, body: impl FnOnce(&Kernel) -> R) -> R {
     thread_local! {
-        static CACHE: RefCell<HashMap<usize, Rc<Kernel>>> = RefCell::new(HashMap::new());
+        static CACHE: RefCell<BTreeMap<usize, Rc<Kernel>>> = const { RefCell::new(BTreeMap::new()) };
     }
     let kernel = CACHE.with(|cache| {
         Rc::clone(cache.borrow_mut().entry(n).or_insert_with(|| Rc::new(Kernel::build(n))))

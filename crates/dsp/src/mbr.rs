@@ -86,12 +86,6 @@ impl Mbr {
         }
     }
 
-    /// Grows the box to cover another box.
-    pub fn extend_mbr(&mut self, other: &Mbr) {
-        self.extend_point(&other.low.clone());
-        self.extend_point(&other.high.clone());
-    }
-
     /// True if `p` lies inside (inclusive).
     pub fn contains(&self, p: &[f64]) -> bool {
         p.len() == self.dims()
@@ -217,7 +211,8 @@ mod tests {
         assert!(a.intersects(&b));
         let c = Mbr::from_corners(vec![1.5, 1.5], vec![2.0, 2.0]);
         assert!(!a.intersects(&c));
-        a.extend_mbr(&c);
+        a.extend_point(c.low());
+        a.extend_point(c.high());
         assert!(a.intersects(&c));
         assert!(a.contains(&[1.2, 1.7]));
     }

@@ -170,7 +170,8 @@ proptest! {
         let ma = build(&a);
         let mb = build(&b);
         let mut u = ma.clone();
-        u.extend_mbr(&mb);
+        u.extend_point(mb.low());
+        u.extend_point(mb.high());
         for &(x, y) in a.iter().chain(b.iter()) {
             prop_assert!(u.contains(&[x, y]));
         }

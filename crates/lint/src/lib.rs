@@ -5,18 +5,18 @@
 //! digests, bit-identical parallel ingest, the zero-alloc ingest contract)
 //! rests on source-level invariants that no unit test can see being
 //! eroded. rustc and clippy enforce the ones that types can state (wall
-//! clocks, hot-path panics, the send seam, the class and oracle tables;
-//! DESIGN.md §11). This crate checks the two that need the call graph or
-//! a map's iteration order, in the spirit of rust-lang/rust's `tidy`.
+//! clocks, hot-path panics, hash-order iteration, the send seam, the class
+//! and oracle tables; DESIGN.md §11). This crate checks the one that needs
+//! the call graph — no allocation on the ingest hot path — in the spirit
+//! of rust-lang/rust's `tidy`.
 //!
 //! Layers:
 //! * [`lexer`] — scrubbing lexer: blanks comments/literals, keeps lines;
-//! * [`source`] — per-file model: allow markers, test regions, statement
-//!   windows;
+//! * [`source`] — per-file model: allow markers, test regions;
 //! * [`callgraph`] — nominal workspace call graph + reachability (the v2
 //!   multi-pass substrate);
-//! * [`rules`] — the two rules (A01 hot-path-alloc, D01 unordered-iter)
-//!   and the unknown-marker check;
+//! * [`rules`] — the rule (A01 hot-path-alloc), the unknown-marker check
+//!   and the scope check;
 //! * [`engine`] — workspace walk, two-pass run, reports, `--fix-markers`.
 
 pub mod callgraph;

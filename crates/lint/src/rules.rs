@@ -1,34 +1,33 @@
-//! The two call-graph and determinism rules the compiler cannot state.
+//! The call-graph rule the compiler cannot state.
 //!
-//! Every rule is a pure function from a [`SourceFile`] (plus the shared
-//! [`Context`]) to violations. Rules are deliberately *textual* — this is a
-//! tidy-style gate, not a type checker — so each one documents its
-//! heuristics and every rule honors `// dsilint: allow(<rule>, <reason>)`
-//! markers (applied later by the engine, so fixtures can test raw hits).
-//! A01 additionally consults the workspace call graph built in pass 1 (see
-//! [`crate::callgraph`]). The workspace's other source contracts (wall
-//! clocks, hot-path panics, the send seam, the class and oracle tables)
-//! are enforced by rustc and clippy (DESIGN.md §11).
+//! A rule is a pure function from a [`SourceFile`] (plus the shared
+//! [`Context`]) to violations. It is deliberately *textual* — this is a
+//! tidy-style gate, not a type checker — so it documents its heuristics
+//! and honors `// dsilint: allow(<rule>, <reason>)` markers (applied later
+//! by the engine, so fixtures can test raw hits). A01 consults the
+//! workspace call graph built in pass 1 (see [`crate::callgraph`]). The
+//! workspace's other source contracts (wall clocks, hot-path panics, hash
+//! order, the send seam, the class and oracle tables) are enforced by
+//! rustc and clippy (DESIGN.md §11).
 
 use crate::callgraph::Graph;
 use crate::source::SourceFile;
 
 /// Slugs, used in allow markers and reports.
 pub const A01: &str = "hot-path-alloc";
-pub const D01: &str = "unordered-iter";
 
 /// All rule slugs, in report order (sorted by rule id).
-pub const ALL_RULES: [&str; 2] = [A01, D01];
+pub const ALL_RULES: [&str; 1] = [A01];
 
 /// `(rule id, slug)` pairs in report order.
-pub const RULE_IDS: [(&str, &str); 2] = [("A01", A01), ("D01", D01)];
+pub const RULE_IDS: [(&str, &str); 1] = [("A01", A01)];
 
 /// Pseudo-rule of a marker that names no rule in [`ALL_RULES`]: it
 /// suppresses nothing, so it is reported (and cannot itself be allowed).
 pub const UNKNOWN_MARKER: &str = "unknown-marker";
 
 /// Pseudo-rule of a workspace run whose gate lost scope: a crate prefix
-/// of the call graph or of D01 that matches no walked file, or an A01 root
+/// of the call graph that matches no walked file, or an A01 root
 /// that resolves to no function. Like an unknown marker it is reported and
 /// cannot be allowed.
 pub const STALE_SCOPE: &str = "stale-scope";
@@ -73,10 +72,6 @@ pub struct Context {
     /// Functions reachable from the zero-alloc entry points, cold
     /// boundaries already excluded.
     pub hot_fns: Vec<HotFn>,
-    /// `(module directory, hash-container names its mod.rs declares)`: a
-    /// type split across a module's files keeps its fields visible to D01
-    /// in every one of them.
-    pub module_hash_names: Vec<(String, Vec<String>)>,
 }
 
 /// Scope check of a workspace run (fixture sets skip it: they walk one
@@ -98,19 +93,13 @@ pub(crate) fn stale_scope(ctx: &Context, files: &[SourceFile]) -> Vec<Violation>
             excerpt: at.map(|(f, i)| f.raw[i].trim().to_string()).unwrap_or_default(),
         });
     };
-    let lists = [
-        ("GRAPH_CRATES", "crates/lint/src/callgraph.rs", &crate::callgraph::GRAPH_CRATES[..]),
-        ("D01_CRATES", "crates/lint/src/rules.rs", &D01_CRATES[..]),
-    ];
-    for (list, list_file, prefixes) in lists {
-        for p in prefixes {
-            if !files.iter().any(|f| f.path.starts_with(p)) {
-                flag(
-                    list_file,
-                    format!("\"{p}\""),
-                    format!("{list} prefix `{p}` matches no walked file"),
-                );
-            }
+    for p in crate::callgraph::GRAPH_CRATES {
+        if !files.iter().any(|f| f.path.starts_with(p)) {
+            flag(
+                "crates/lint/src/callgraph.rs",
+                format!("\"{p}\""),
+                format!("GRAPH_CRATES prefix `{p}` matches no walked file"),
+            );
         }
     }
     for (q, n) in A01_ENTRIES {
@@ -136,16 +125,9 @@ const A01_ENTRIES: [(&str, &str); 4] = [
 ];
 
 impl Context {
-    /// Pass 1: build the call graph, the A01 hot set and the per-module
-    /// hash-container names.
+    /// Pass 1: build the call graph and the A01 hot set.
     pub fn build(files: &[SourceFile]) -> Context {
-        let mut ctx = Context::default();
-        for f in files {
-            if let Some(dir) = f.path.strip_suffix("mod.rs") {
-                ctx.module_hash_names.push((dir.to_string(), hash_container_names(f)));
-            }
-        }
-        ctx.graph = Graph::build(files);
+        let mut ctx = Context { graph: Graph::build(files), ..Context::default() };
         // A function-level allow(A01) marker on the `fn` line is a cold
         // boundary: not scanned, not traversed through.
         let cold = |fd: &crate::callgraph::FnDef| {
@@ -175,10 +157,7 @@ impl Context {
 
 /// Run every rule on one file.
 pub fn run_all(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    out.extend(hot_path_alloc(ctx, f));
-    out.extend(unordered_iter(ctx, f));
-    out
+    hot_path_alloc(ctx, f)
 }
 
 /// Markers in `f` whose slug names no rule in [`ALL_RULES`] — left behind
@@ -203,46 +182,6 @@ pub fn unknown_markers(f: &SourceFile) -> Vec<Violation> {
 
 fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
-}
-
-/// The identifier ending at byte offset `end` (exclusive) of `line`, if any.
-fn ident_ending_at(line: &str, end: usize) -> Option<&str> {
-    let bytes = line.as_bytes();
-    let mut start = end;
-    while start > 0 && is_ident_char(bytes[start - 1] as char) {
-        start -= 1;
-    }
-    (start < end).then(|| &line[start..end])
-}
-
-/// Walk back from the `.` of a method call to the *base identifier* of the
-/// receiver: skips one trailing `[…]` index, refuses call results `(…)`
-/// (unknown type). `self.queries.iter()` → `queries`;
-/// `self.membership[0].keys()` → `membership`; `foo().iter()` → `None`.
-fn receiver_base(line: &str, dot: usize) -> Option<&str> {
-    let bytes = line.as_bytes();
-    let mut i = dot;
-    if i > 0 && bytes[i - 1] == b']' {
-        // Skip the balanced […] suffix.
-        let mut depth = 0i32;
-        while i > 0 {
-            i -= 1;
-            match bytes[i] {
-                b']' => depth += 1,
-                b'[' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    if i > 0 && bytes[i - 1] == b')' {
-        return None; // method-call result: receiver type unknown
-    }
-    ident_ending_at(line, i)
 }
 
 // ----------------------------------------------------------------------
@@ -311,177 +250,4 @@ pub fn hot_path_alloc(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
         }
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// D01 — unordered-iter
-// ----------------------------------------------------------------------
-
-/// Crates whose routed / emitted state must not depend on hash order.
-const D01_CRATES: [&str; 4] = ["crates/core/", "crates/chord/", "crates/simnet/", "crates/trace/"];
-
-/// Iteration methods whose order is the hasher's.
-const ITER_METHODS: [&str; 8] = [
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".iter()",
-    ".iter_mut()",
-    ".into_iter()",
-    ".into_keys()",
-    ".into_values()",
-];
-
-/// **D01** — iteration over a `HashMap` / `HashSet` in the deterministic
-/// crates, unless the surrounding statement window sorts the result (or
-/// collects into a `BTree*`).
-///
-/// Receivers are recognized *nominally*: the file — and the `mod.rs` of
-/// the module it belongs to — is scanned for names declared with a type
-/// mentioning `HashMap`/`HashSet` (struct fields, `let` bindings,
-/// parameters) or initialized from `HashMap::…` / `HashSet::…`, and
-/// iteration calls / `for … in` loops over those names are flagged.
-/// Closure-bound aliases of map contents are not tracked — the self-test
-/// and reviewers cover that gap (documented in DESIGN §11).
-pub fn unordered_iter(ctx: &Context, f: &SourceFile) -> Vec<Violation> {
-    if !D01_CRATES.iter().any(|c| f.path.starts_with(c)) {
-        return Vec::new();
-    }
-    let mut names = hash_container_names(f);
-    for (dir, declared) in &ctx.module_hash_names {
-        if f.path.starts_with(dir.as_str()) {
-            declared.iter().for_each(|n| push_unique(&mut names, n));
-        }
-    }
-    if names.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in f.code.iter().enumerate() {
-        let mut hits: Vec<(usize, String)> = Vec::new();
-        // Method-style iteration: name.values() / name.drain(..) …
-        for m in ITER_METHODS.iter().copied().chain([".drain("]) {
-            let probe = &m[..m.len() - 1]; // match without the final ) so
-                                           // `.drain(..)` also hits
-            let mut from = 0usize;
-            while let Some(p) = line[from..].find(probe) {
-                let dot = from + p;
-                let base = receiver_base(line, dot).map(str::to_string).or_else(|| {
-                    // Multi-line chain: `.iter()` at line start — the
-                    // receiver is the trailing identifier of the previous
-                    // non-blank line (`self\n  .queries\n  .iter()`).
-                    if !line[..dot].trim().is_empty() {
-                        return None;
-                    }
-                    let prev = f.code[..idx].iter().rev().find(|l| !l.trim().is_empty())?;
-                    let prev = prev.trim_end();
-                    ident_ending_at(prev, prev.len()).map(str::to_string)
-                });
-                if let Some(base) = base {
-                    if names.contains(&base) {
-                        hits.push((dot, format!("`{base}{probe}…`")));
-                    }
-                }
-                from = dot + probe.len();
-            }
-        }
-        // Loop-style iteration: for … in &name { / for … in self.name {
-        if let Some(pos) = find_for_in(line) {
-            let mut expr = line[pos..].trim_start();
-            expr = expr.strip_prefix("&mut ").unwrap_or(expr);
-            expr = expr.strip_prefix('&').unwrap_or(expr);
-            expr = expr.strip_prefix("self.").unwrap_or(expr);
-            let base: String = expr.chars().take_while(|&c| is_ident_char(c)).collect();
-            if names.contains(&base) {
-                let after = &expr[base.len()..];
-                // Direct loop over the container only (not `map[i]`,
-                // `map.get(..)`, `map.len()` …) — field access and calls
-                // have their own matchers above.
-                if after.trim_start().starts_with('{') || after.trim().is_empty() {
-                    hits.push((pos, format!("`for … in {base}`")));
-                }
-            }
-        }
-        if hits.is_empty() {
-            continue;
-        }
-        let window = f.statement_window(idx);
-        if window.contains("sort") || window.contains("BTree") {
-            continue; // deterministically reordered in the same window
-        }
-        for (_, what) in hits {
-            out.push(Violation {
-                rule: D01,
-                file: f.path.clone(),
-                line: idx + 1,
-                message: format!(
-                    "{what} iterates a HashMap/HashSet in hash order; sort the result in the \
-                     same statement window or justify with `// dsilint: allow({D01}, <reason>)`"
-                ),
-                excerpt: f.raw.get(idx).map(|l| l.trim().to_string()).unwrap_or_default(),
-            });
-        }
-    }
-    out
-}
-
-/// Byte offset just past `" in "` of a `for … in ` header on this line.
-fn find_for_in(line: &str) -> Option<usize> {
-    let f = line.find("for ")?;
-    // `for` must be a word (start of line or preceded by non-ident).
-    if f > 0 && is_ident_char(line.as_bytes()[f - 1] as char) {
-        return None;
-    }
-    let rest = &line[f..];
-    let in_pos = rest.find(" in ")?;
-    Some(f + in_pos + 4)
-}
-
-/// Names in this file declared as (or initialized from) hash containers.
-fn hash_container_names(f: &SourceFile) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in &f.code {
-        // `name: …HashMap…` / `name: …HashSet…` (field, param, let).
-        let mut from = 0usize;
-        while let Some(p) = line[from..].find(':') {
-            let colon = from + p;
-            from = colon + 1;
-            if line[colon..].starts_with("::") {
-                from = colon + 2;
-                continue;
-            }
-            if colon > 0 && line.as_bytes()[colon - 1] == b':' {
-                continue; // second colon of a path
-            }
-            let ty_end =
-                line[colon + 1..].find([';', '=']).map(|e| colon + 1 + e).unwrap_or(line.len());
-            let ty = &line[colon + 1..ty_end];
-            if ty.contains("HashMap") || ty.contains("HashSet") {
-                if let Some(name) = ident_ending_at(line, colon) {
-                    push_unique(&mut names, name);
-                }
-            }
-        }
-        // `let name = HashMap::new()` style.
-        for ctor in ["HashMap::", "HashSet::"] {
-            if let Some(p) = line.find(ctor) {
-                let lhs = &line[..p];
-                if let Some(eq) = lhs.rfind('=') {
-                    let lhs = lhs[..eq].trim_end();
-                    if let Some(name) = ident_ending_at(lhs, lhs.len()) {
-                        if lhs.trim_start().starts_with("let") || lhs.contains("let ") {
-                            push_unique(&mut names, name);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    names
-}
-
-fn push_unique(names: &mut Vec<String>, name: &str) {
-    if name != "Self" && !names.iter().any(|n| n == name) {
-        names.push(name.to_string());
-    }
 }

@@ -1,5 +1,5 @@
-//! Parsed view of one `.rs` file: scrubbed code, allow markers, test
-//! regions and the statement-window helper the rules share.
+//! Parsed view of one `.rs` file: scrubbed code, allow markers and test
+//! regions.
 
 use crate::lexer::{scrub, Scrubbed};
 
@@ -9,7 +9,7 @@ pub struct Marker {
     /// 1-based code line the marker applies to (its own line for trailing
     /// markers, the next non-blank code line for standalone comment lines).
     pub applies_to: usize,
-    /// Rule slug, e.g. `unordered-iter`.
+    /// Rule slug, e.g. `hot-path-alloc`.
     pub rule: String,
     /// Free-text justification. Required; a reason containing `TODO` does
     /// not suppress (scaffolding from `--fix-markers` must be finished).
@@ -54,67 +54,6 @@ impl SourceFile {
             .iter()
             .find(|m| m.applies_to == line && m.rule == rule && !m.reason.contains("TODO"))
             .map(|m| m.reason.as_str())
-    }
-
-    /// The scrubbed text of the statement containing 0-based line `idx`
-    /// *plus the immediately following statement* — the window in which a
-    /// sort may neutralize an unordered-iteration site (the idiomatic
-    /// `collect(); sort();` pair spans two statements).
-    ///
-    /// Statement boundaries are `;` at the bracket depth of the statement's
-    /// first line; the window also ends when the enclosing block closes.
-    pub fn statement_window(&self, idx: usize) -> String {
-        let start = self.statement_start(idx);
-        let mut out = String::new();
-        let mut depth: i32 = 0;
-        let mut semis = 0;
-        for line in self.code.iter().skip(start) {
-            for c in line.chars() {
-                out.push(c);
-                match c {
-                    '(' | '[' | '{' => depth += 1,
-                    ')' | ']' => depth -= 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth < 0 {
-                            return out;
-                        }
-                    }
-                    ';' if depth <= 0 => {
-                        semis += 1;
-                        if semis == 2 {
-                            return out;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// 0-based first line of the statement containing 0-based `idx`: the
-    /// line after the nearest earlier line whose code ends in `;`, `{`, `}`
-    /// or `,` (attribute lines and blank/comment-only lines are skipped
-    /// over when they trail such a boundary).
-    pub fn statement_start(&self, idx: usize) -> usize {
-        let mut start = idx;
-        while start > 0 {
-            let prev = self.code[start - 1].trim_end();
-            let prev_trim = prev.trim_start();
-            if prev.ends_with(';')
-                || prev.ends_with('{')
-                || prev.ends_with('}')
-                || prev.ends_with(',')
-                || prev_trim.starts_with('#')
-                || prev_trim.is_empty()
-            {
-                break;
-            }
-            start -= 1;
-        }
-        start
     }
 }
 
@@ -195,11 +134,11 @@ mod tests {
     fn trailing_and_standalone_markers_resolve() {
         let f = SourceFile::parse(
             "x.rs",
-            "let a = m.values(); // dsilint: allow(unordered-iter, summed)\n\
+            "let a = m.values(); // dsilint: allow(hot-path-alloc, summed)\n\
              // dsilint: allow(hot-path-alloc, setup only)\n\
              let b = v.clone();\n",
         );
-        assert_eq!(f.allow_reason("unordered-iter", 1), Some("summed"));
+        assert_eq!(f.allow_reason("hot-path-alloc", 1), Some("summed"));
         assert_eq!(f.allow_reason("hot-path-alloc", 3), Some("setup only"));
         assert_eq!(f.allow_reason("hot-path-alloc", 2), None);
     }
@@ -209,7 +148,7 @@ mod tests {
         let f = SourceFile::parse(
             "x.rs",
             "/// Write `// dsilint: allow(rule, reason)` above it.\nfn f() {}\n\
-             // see dsilint: allow(unordered-iter, prose)\nfn g() {}\n",
+             // see dsilint: allow(hot-path-alloc, prose)\nfn g() {}\n",
         );
         assert!(f.markers.is_empty(), "{:?}", f.markers);
     }
@@ -218,15 +157,15 @@ mod tests {
     fn todo_reasons_do_not_suppress() {
         let f = SourceFile::parse(
             "x.rs",
-            "let a = m.values(); // dsilint: allow(unordered-iter, TODO: justify)\n",
+            "let a = m.values(); // dsilint: allow(hot-path-alloc, TODO: justify)\n",
         );
-        assert_eq!(f.allow_reason("unordered-iter", 1), None);
+        assert_eq!(f.allow_reason("hot-path-alloc", 1), None);
     }
 
     #[test]
     fn reasonless_markers_do_not_suppress() {
-        let f = SourceFile::parse("x.rs", "m.values(); // dsilint: allow(unordered-iter)\n");
-        assert_eq!(f.allow_reason("unordered-iter", 1), None);
+        let f = SourceFile::parse("x.rs", "m.values(); // dsilint: allow(hot-path-alloc)\n");
+        assert_eq!(f.allow_reason("hot-path-alloc", 1), None);
     }
 
     #[test]
@@ -240,26 +179,5 @@ mod tests {
         assert!(f.in_test_region(4));
         assert!(f.in_test_region(5));
         assert!(!f.in_test_region(6));
-    }
-
-    #[test]
-    fn statement_window_spans_collect_then_sort() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "fn f() {\n    let mut v: Vec<u32> = m\n        .values()\n        .collect();\n    v.sort_unstable();\n    other();\n}\n",
-        );
-        let w = f.statement_window(2); // the .values() line
-        assert!(w.contains("sort_unstable"), "window: {w}");
-        assert!(!w.contains("other"), "window must stop after 2 statements: {w}");
-    }
-
-    #[test]
-    fn statement_window_stops_at_block_end() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "fn f() {\n    for x in m.values() {\n        eat(x);\n    }\n}\nfn g() { sorted(); }\n",
-        );
-        let w = f.statement_window(1);
-        assert!(!w.contains("sorted"), "window leaked past block end: {w}");
     }
 }

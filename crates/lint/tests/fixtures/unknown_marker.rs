@@ -1,11 +1,12 @@
 // Unknown-marker gate: a marker must name a live dsilint rule.
-use std::collections::HashMap;
-
-pub fn f(queries: &HashMap<u64, u32>) -> u32 {
-    // dsilint: allow(no-such-rule, left behind when its rule moved to the compiler)
-    let a = 1;
-    let b = queries.values().sum::<u32>(); // dsilint: allow(unorderd-iter, commutative sum)
-    // dsilint: allow(unordered-iter, commutative sum)
-    let c = queries.values().sum::<u32>();
-    a + b + c
+pub struct Cluster;
+impl Cluster {
+    pub fn post_value(&mut self) {
+        // dsilint: allow(no-such-rule, left behind when its rule moved to the compiler)
+        let a = 1;
+        let b = vec![a]; // dsilint: allow(hot-path-allc, setup only)
+        // dsilint: allow(hot-path-alloc, setup only)
+        let c = vec![a];
+        eat(b, c);
+    }
 }

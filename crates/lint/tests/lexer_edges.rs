@@ -77,25 +77,6 @@ fn macro_strings_with_unbalanced_braces_do_not_desync_lines() {
     assert!(spans.contains(&("g".to_string(), 6, 6)), "{spans:?}");
 }
 
-#[test]
-fn statement_window_ignores_brackets_inside_literals() {
-    let f = SourceFile::parse(
-        "x.rs",
-        "fn f() {\n    let v: Vec<u32> = m.values().collect();\n    v.sort_unstable();\n}\n",
-    );
-    let w = f.statement_window(1);
-    assert!(w.contains("sort_unstable"), "{w}");
-
-    // Same shape, but with a `\"}\"` literal between the two statements:
-    // the scrubbed close-brace must not end the window early.
-    let f = SourceFile::parse(
-        "x.rs",
-        "fn f() {\n    let v: Vec<u32> = m.values().collect();\n    log(\"}\");\n    v.sort_unstable();\n}\n",
-    );
-    let w = f.statement_window(1);
-    assert!(!w.contains('}'), "literal brace leaked into the window: {w}");
-}
-
 // ----------------------------------------------------- cfg(test) boundaries
 
 #[test]

@@ -54,7 +54,7 @@ fn fixtures_and_vendor_are_excluded_from_the_walk() {
 #[test]
 fn workspace_run_reports_scope_that_matches_nothing() {
     // A tree holding only crates/core with one of the four A01 roots: every
-    // other graph / D01 crate prefix and the three missing roots must be
+    // other graph crate prefix and the three missing roots must be
     // reported, or deleting a crate silently narrows the gate.
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale_scope");
     let src = root.join("crates/core/src");
@@ -69,7 +69,7 @@ fn workspace_run_reports_scope_that_matches_nothing() {
     assert!(outcome.violations.iter().all(|v| v.rule == STALE_SCOPE), "{messages:?}");
     for want in [
         "GRAPH_CRATES prefix `crates/dsp/` matches no walked file",
-        "D01_CRATES prefix `crates/chord/` matches no walked file",
+        "GRAPH_CRATES prefix `crates/chord/` matches no walked file",
         "A01 root `Cluster::ingest_batch` resolves to no function",
     ] {
         assert!(messages.contains(&want), "missing `{want}` in {messages:?}");

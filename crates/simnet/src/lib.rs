@@ -14,7 +14,10 @@
 //!   re-delivery pen;
 //! * [`metrics`] — per-node load components (Fig. 6), per-event message
 //!   overhead (Fig. 7) and hop counts (Fig. 8), its per-node counters
-//!   keyed through the private `nodehash` hasher.
+//!   keyed through the private `nodehash` hasher;
+//! * [`DetMap`] — the workspace's hash map: lookups and updates, but no
+//!   iteration in hash order (clippy's `disallowed_types` bans the
+//!   standard `HashMap` and `HashSet` in every crate but the benchmark's).
 
 #![warn(missing_docs)]
 // Crate-level override on top of the shared [workspace.lints] policy: the
@@ -23,6 +26,7 @@
 // Test code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod detmap;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
@@ -31,6 +35,7 @@ mod nodehash;
 pub mod poisson;
 pub mod time;
 
+pub use detmap::DetMap;
 pub use engine::{DelayQueue, Engine};
 pub use faults::{FaultOutcome, FaultPlan, FaultSpec};
 pub use metrics::{Histogram, InputEvent, Metrics, MsgClass, NUM_CLASSES};

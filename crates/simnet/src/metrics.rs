@@ -7,9 +7,9 @@
 //! * **responsiveness** — overlay hops a message traverses before being
 //!   processed (Fig. 8).
 
+use crate::detmap::DetMap;
 use crate::nodehash::NodeIdHash;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Declares [`MsgClass`], [`MsgClass::ALL`] and [`NUM_CLASSES`] from one
 /// variant list, so a class cannot be added without entering both tables
@@ -124,8 +124,8 @@ impl InputEvent {
 /// Mutable measurement state, filled in by the simulation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Metrics {
-    sent: HashMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
-    received: HashMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
+    sent: DetMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
+    received: DetMap<u64, [u64; NUM_CLASSES], NodeIdHash>,
     totals: [u64; NUM_CLASSES],
     hop_sum: [u64; NUM_CLASSES],
     hop_count: [u64; NUM_CLASSES],
@@ -209,16 +209,14 @@ impl Metrics {
     /// auditors can check the bookkeeping itself.
     pub fn sent_total(&self, class: MsgClass) -> u64 {
         let i = class.index();
-        // dsilint: allow(unordered-iter, commutative sum over per-node counters)
-        self.sent.values().map(|a| a[i]).sum()
+        self.sent.iter_sorted().map(|(_, a)| a[i]).sum()
     }
 
     /// Messages of a class summed over all receiving nodes. Always equals
     /// [`Metrics::total`].
     pub fn received_total(&self, class: MsgClass) -> u64 {
         let i = class.index();
-        // dsilint: allow(unordered-iter, commutative sum over per-node counters)
-        self.received.values().map(|a| a[i]).sum()
+        self.received.iter_sorted().map(|(_, a)| a[i]).sum()
     }
 
     /// Number of recorded input events of a kind.

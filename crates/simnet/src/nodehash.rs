@@ -37,18 +37,18 @@ impl Hasher for NodeIdHasher {
     }
 }
 
-/// `BuildHasher` of node-keyed `HashMap`s (`HashMap<u64, V, NodeIdHash>`).
+/// `BuildHasher` of node-keyed maps (`DetMap<u64, V, NodeIdHash>`).
 pub type NodeIdHash = BuildHasherDefault<NodeIdHasher>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::detmap::DetMap;
     use std::hash::BuildHasher;
 
     #[test]
     fn node_keyed_map_behaves_like_a_map() {
-        let mut m: HashMap<u64, u64, NodeIdHash> = HashMap::default();
+        let mut m: DetMap<u64, u64, NodeIdHash> = DetMap::default();
         for id in (0..10_000u64).map(|i| i.wrapping_mul(0x1234_5678_9abc_def1)) {
             *m.entry(id).or_default() += id;
         }

@@ -14,7 +14,7 @@
 //! bit*, and that delivery sets equal brute-force owner sets.
 
 use crate::record::{MulticastMeta, RecordKind, TraceRecord};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters reconstructed from a trace, index-aligned with
 /// `MsgClass::index()`.
@@ -72,7 +72,7 @@ where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let records: Vec<&TraceRecord> = records.into_iter().collect();
-    let mut by_id: HashMap<u64, &TraceRecord> = HashMap::with_capacity(records.len());
+    let mut by_id: BTreeMap<u64, &TraceRecord> = BTreeMap::new();
     for rec in &records {
         if by_id.insert(rec.id.0, rec).is_some() {
             return Err(format!("duplicate record id {}", rec.id.0));
@@ -126,7 +126,7 @@ pub fn multicast_delivery_set(
     meta: &MulticastMeta,
     internal_classes: &[u8],
 ) -> BTreeSet<u64> {
-    let mut children: HashMap<u64, Vec<&TraceRecord>> = HashMap::new();
+    let mut children: BTreeMap<u64, Vec<&TraceRecord>> = BTreeMap::new();
     for rec in records {
         if let Some(p) = rec.parent {
             children.entry(p.0).or_default().push(rec);

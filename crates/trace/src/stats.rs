@@ -13,7 +13,7 @@
 
 use crate::record::TraceRecord;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Exact mergeable quantile accumulator (sorted buffer).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -167,7 +167,7 @@ impl TraceStats {
         I: IntoIterator<Item = &'a TraceRecord>,
     {
         let records: Vec<&'a TraceRecord> = records.into_iter().collect();
-        let by_id: HashMap<u64, &'a TraceRecord> = records.iter().map(|r| (r.id.0, *r)).collect();
+        let by_id: BTreeMap<u64, &'a TraceRecord> = records.iter().map(|r| (r.id.0, *r)).collect();
         let origin_sent = |mut rec: &'a TraceRecord| -> u64 {
             loop {
                 match rec.parent {
