@@ -15,7 +15,7 @@
 // makes it unreachable in an `expect` attribute (DESIGN.md §11).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::id::ChordId;
+use crate::id::{ChordId, IdSpace};
 use crate::router::ContentRouter;
 use dsi_trace::{Cursor, MsgId, Tracer};
 use serde::{Deserialize, Serialize};
@@ -190,60 +190,40 @@ impl MulticastPlan {
 ///
 /// A node `n` covers the keys `(predecessor(n), n]`, so the covering set is
 /// `successor(lo)` and every node from there up to and including
-/// `successor(hi)`.
+/// `successor(hi)`: one walk of [`ContentRouter::ids_from`].
 pub fn covering_nodes<R: ContentRouter>(ring: &R, lo: ChordId, hi: ChordId) -> Vec<ChordId> {
-    if ring.is_empty() {
-        return Vec::new();
-    }
-    let space = ring.space();
-    #[expect(clippy::expect_used, reason = "is_empty checked on entry")]
-    let first = ring.ideal_successor(lo).expect("non-empty ring");
-    let width = space.distance_cw(lo, hi);
-    let mut out = vec![first];
-    let mut cur = first;
-    // Walk successors until the last added node's identifier has passed `hi`
-    // clockwise from `lo` (that node owns the tail of the range). The length
-    // guard handles ranges that wrap around more nodes than exist.
-    while space.distance_cw(lo, cur) < width && out.len() < ring.len() {
-        #[expect(clippy::expect_used, reason = "is_empty checked on entry")]
-        let next = ring.ideal_successor(space.add(cur, 1)).expect("non-empty ring");
-        cur = next;
-        out.push(cur);
-    }
-    out
+    take_cover(ring.space(), lo, hi, ring.ids_from(lo))
 }
 
 /// [`covering_nodes`] restricted to what `origin` can currently reach: the
-/// covering set computed over `origin`'s side of a partition via
-/// [`ContentRouter::ideal_successor_from`]. On a whole network this returns
-/// exactly `covering_nodes(ring, lo, hi)` (the wrap guard `cur == first`
-/// fires at the same walk step the global length guard would).
+/// same walk with the other side of a partition filtered out. On a whole
+/// network this returns exactly `covering_nodes(ring, lo, hi)`.
 pub fn covering_nodes_from<R: ContentRouter>(
     ring: &R,
     origin: ChordId,
     lo: ChordId,
     hi: ChordId,
 ) -> Vec<ChordId> {
-    if ring.is_empty() {
-        return Vec::new();
-    }
-    let space = ring.space();
-    #[expect(clippy::expect_used, reason = "origin is live, so its side is non-empty")]
-    let first = ring.ideal_successor_from(origin, lo).expect("origin's side is non-empty");
+    take_cover(ring.space(), lo, hi, ring.ids_from(lo).filter(|&n| ring.reachable(origin, n)))
+}
+
+/// The prefix of a ring-order walk from `successor(lo)` that covers
+/// `[lo, hi]`: every id up to and including the first at or past `hi`
+/// (clockwise from `lo`), or the whole walk when none is — the range wraps
+/// past every node.
+fn take_cover(
+    space: IdSpace,
+    lo: ChordId,
+    hi: ChordId,
+    walk: impl Iterator<Item = ChordId>,
+) -> Vec<ChordId> {
     let width = space.distance_cw(lo, hi);
-    let mut out = vec![first];
-    let mut cur = first;
-    while space.distance_cw(lo, cur) < width {
-        #[expect(clippy::expect_used, reason = "origin is live, so its side is non-empty")]
-        let next = ring
-            .ideal_successor_from(origin, space.add(cur, 1))
-            .expect("origin's side is non-empty");
-        cur = next;
-        if cur == first {
-            // Wrapped: every node origin can reach already covers the range.
+    let mut out = Vec::new();
+    for id in walk {
+        out.push(id);
+        if space.distance_cw(lo, id) >= width {
             break;
         }
-        out.push(cur);
     }
     out
 }
@@ -564,7 +544,6 @@ pub fn multicast_with_failover<R: ContentRouter>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::IdSpace;
     use crate::ring::Ring;
 
     fn figure_ring() -> Ring {

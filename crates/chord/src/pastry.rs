@@ -156,6 +156,10 @@ impl ContentRouter for PastryNet {
         self.iter_ids().collect()
     }
 
+    fn ids_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_ {
+        self.nodes.range(key..).chain(self.nodes.range(..key)).map(|(id, _)| *id)
+    }
+
     fn ideal_successor(&self, key: ChordId) -> Option<ChordId> {
         self.nodes.range(key..).next().or_else(|| self.nodes.iter().next()).map(|(id, _)| *id)
     }

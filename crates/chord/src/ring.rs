@@ -143,6 +143,13 @@ impl Ring {
         self.ids.iter().copied()
     }
 
+    /// Every live node identifier once, in ring order starting at `key`'s
+    /// successor: the id column read from `key`'s rank, then wrapped.
+    pub fn ids_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_ {
+        let (before, from) = self.ids.split_at(self.rank(key));
+        from.iter().chain(before).copied()
+    }
+
     /// All live node identifiers in ring order, collected.
     pub fn node_ids(&self) -> Vec<ChordId> {
         self.ids.clone()
@@ -232,8 +239,7 @@ impl Ring {
             return self.ideal_successor(key);
         }
         let side = self.side(origin);
-        let (before, from) = self.ids.split_at(self.rank(key));
-        from.iter().chain(before).copied().find(|&id| self.side(id) == side)
+        self.ids_from(key).find(|&id| self.side(id) == side)
     }
 
     /// The true predecessor of `key` as seen from `origin`'s side.

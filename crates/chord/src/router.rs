@@ -35,6 +35,12 @@ pub trait ContentRouter {
     /// All live node identifiers in ring order.
     fn node_ids(&self) -> Vec<ChordId>;
 
+    /// Every live node identifier once, in ring order starting at `key`'s
+    /// successor (so the first item is `ideal_successor(key)`).
+    fn ids_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_
+    where
+        Self: Sized;
+
     /// Ground truth: the node owning `key` (its successor on the circle).
     fn ideal_successor(&self, key: ChordId) -> Option<ChordId>;
 
@@ -90,6 +96,10 @@ impl ContentRouter for crate::ring::Ring {
 
     fn node_ids(&self) -> Vec<ChordId> {
         crate::ring::Ring::node_ids(self)
+    }
+
+    fn ids_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_ {
+        crate::ring::Ring::ids_from(self, key)
     }
 
     fn ideal_successor(&self, key: ChordId) -> Option<ChordId> {

@@ -1,7 +1,60 @@
 //! Property-based tests of the routing substrate's invariants.
 
-use dsi_chord::{covering_nodes, ChordId, ContentRouter, IdSpace, PastryNet, RangeStrategy, Ring};
+use dsi_chord::{
+    covering_nodes, covering_nodes_from, ChordId, ContentRouter, IdSpace, PastryNet, RangeStrategy,
+    Ring,
+};
 use proptest::prelude::*;
+
+/// The covering set as one successor search per member: the walk
+/// `covering_nodes` made before it read the id column, kept as its
+/// reference.
+fn covering_by_successor_search<R: ContentRouter>(
+    ring: &R,
+    lo: ChordId,
+    hi: ChordId,
+) -> Vec<ChordId> {
+    if ring.is_empty() {
+        return Vec::new();
+    }
+    let space = ring.space();
+    let first = ring.ideal_successor(lo).unwrap();
+    let width = space.distance_cw(lo, hi);
+    let mut out = vec![first];
+    let mut cur = first;
+    while space.distance_cw(lo, cur) < width && out.len() < ring.len() {
+        cur = ring.ideal_successor(space.add(cur, 1)).unwrap();
+        out.push(cur);
+    }
+    out
+}
+
+/// The side-aware twin of [`covering_by_successor_search`]: the walk
+/// `covering_nodes_from` made, stopping when it wraps back to its first
+/// member.
+fn covering_from_by_successor_search<R: ContentRouter>(
+    ring: &R,
+    origin: ChordId,
+    lo: ChordId,
+    hi: ChordId,
+) -> Vec<ChordId> {
+    if ring.is_empty() {
+        return Vec::new();
+    }
+    let space = ring.space();
+    let first = ring.ideal_successor_from(origin, lo).unwrap();
+    let width = space.distance_cw(lo, hi);
+    let mut out = vec![first];
+    let mut cur = first;
+    while space.distance_cw(lo, cur) < width {
+        cur = ring.ideal_successor_from(origin, space.add(cur, 1)).unwrap();
+        if cur == first {
+            break;
+        }
+        out.push(cur);
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -159,5 +212,49 @@ proptest! {
         let mut cover = covering_nodes(&ring, lo, hi);
         cover.sort_unstable();
         prop_assert_eq!(nodes, cover);
+    }
+
+    #[test]
+    fn covering_walk_equals_successor_search(
+        ids in prop::collection::btree_set(0u64..4096, 1..24),
+        sides in prop::collection::vec(0u8..3, 24),
+        split in any::<bool>(),
+        picks in prop::collection::vec(0usize..24, 3),
+        offsets in prop::collection::vec(0u64..3, 2),
+        anchored in any::<bool>(),
+        lo in 0u64..4096,
+        w in 0u64..4096,
+    ) {
+        let s = IdSpace::new(12);
+        let ids: Vec<ChordId> = ids.into_iter().collect();
+        let origin = ids[picks[0] % ids.len()];
+        // Anchored ranges start and end on, just after or just before a
+        // node, where an off-by-one in the walk's stop shows.
+        let near = |pick: usize, off: u64| {
+            s.add(ids[pick % ids.len()], [0, 1, s.modulus() - 1][off as usize])
+        };
+        let (lo, hi) = if anchored {
+            (near(picks[1], offsets[0]), near(picks[2], offsets[1]))
+        } else {
+            (lo, s.add(lo, w))
+        };
+        let mut ring = Ring::with_nodes(s, ids.iter().copied());
+        if split {
+            ring.split(ids.iter().copied().zip(sides.iter().copied()));
+        }
+        prop_assert_eq!(covering_nodes(&ring, lo, hi), covering_by_successor_search(&ring, lo, hi));
+        prop_assert_eq!(
+            covering_nodes_from(&ring, origin, lo, hi),
+            covering_from_by_successor_search(&ring, origin, lo, hi)
+        );
+        let pastry = PastryNet::new(s, ids.iter().copied());
+        prop_assert_eq!(
+            covering_nodes(&pastry, lo, hi),
+            covering_by_successor_search(&pastry, lo, hi)
+        );
+        prop_assert_eq!(
+            covering_nodes_from(&pastry, origin, lo, hi),
+            covering_from_by_successor_search(&pastry, origin, lo, hi)
+        );
     }
 }

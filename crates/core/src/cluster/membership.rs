@@ -6,7 +6,7 @@ use super::{Cluster, QueryRuntime};
 use crate::datacenter::{DataCenter, StoredMbr};
 use crate::load::ReweightAction;
 use crate::mapping::{interval_key_range, radius_key_range};
-use crate::query::{QueryId, SimilarityQuery, StreamId};
+use crate::query::{QueryId, StreamId};
 use crate::reliability::PendingEffect;
 use dsi_chord::{ChordId, ContentRouter, Ring};
 use dsi_simnet::{MsgClass, SimTime};
@@ -94,24 +94,23 @@ impl<R: ContentRouter> Cluster<R> {
         // newly inside a query's radius range get its subscription. Stale
         // copies outside the range are harmless (aggregation only reads the
         // covering set) and expire with the query.
-        let sims: Vec<SimilarityQuery> = self
+        let sims: Vec<_> = self
             .queries
             .values()
             .filter_map(|q| match q {
-                QueryRuntime::Similarity(sq) => Some(sq.clone()),
-                QueryRuntime::InnerProduct(_) => None,
+                QueryRuntime::Similarity(sq) if !filter.is_some_and(|now| sq.expired(now)) => {
+                    let (lo, hi) = radius_key_range(self.space, sq.feature.first_real(), sq.radius);
+                    Some((sq.id, sq.aggregator, lo, hi, sq.expires))
+                }
+                QueryRuntime::Similarity(_) | QueryRuntime::InnerProduct(_) => None,
             })
             .collect();
-        for q in sims {
-            if filter.is_some_and(|now| q.expired(now)) {
-                continue;
-            }
-            let (lo, hi) = radius_key_range(self.space, q.feature.first_real(), q.radius);
+        for (id, aggregator, lo, hi, expires) in sims {
             for n in dsi_chord::covering_nodes(&self.ring, lo, hi) {
-                if !self.nodes[&n].has_subscription(q.id)
-                    && self.send_hop(MsgClass::QueryInternal, q.aggregator, n).arrived()
+                if !self.nodes[&n].has_subscription(id)
+                    && self.send_hop(MsgClass::QueryInternal, aggregator, n).arrived()
                 {
-                    self.node_mut(n).subscribe_similarity(q.clone());
+                    self.node_mut(n).subscribe_similarity(id, expires);
                 }
             }
         }

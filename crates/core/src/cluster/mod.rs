@@ -438,6 +438,15 @@ impl<R: ContentRouter> Cluster<R> {
         self.aggregate_notifications.iter_sorted().map(|(_, v)| v.len() as u64).sum()
     }
 
+    /// The registered (unpurged) similarity query with this id: the one
+    /// copy of its body; covering nodes hold only its id and expiry.
+    pub fn similarity_query(&self, q: QueryId) -> Option<&SimilarityQuery> {
+        match self.queries.get(&q)? {
+            QueryRuntime::Similarity(sq) => Some(sq),
+            QueryRuntime::InnerProduct(_) => None,
+        }
+    }
+
     /// The live (unexpired, unpurged) aggregate query with this id.
     pub fn aggregate_query(&self, q: QueryId) -> Option<&AggregateQuery> {
         self.aggregates.iter().find(|a| a.query.id == q).map(|a| &a.query)

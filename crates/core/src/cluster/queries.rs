@@ -63,7 +63,8 @@ impl<R: ContentRouter> Cluster<R> {
         // query is still registered (the client owns it) but no node
         // subscribed: responses carry coverage 0 until a repair round heals
         // the range.
-        self.deliver_range(&sent, now, &PendingEffect::SubscribeSimilarity(q.clone()));
+        let effect = PendingEffect::SubscribeSimilarity { query: id, expires: q.expires };
+        self.deliver_range(&sent, now, &effect);
         self.queries.insert(id, QueryRuntime::Similarity(q));
         self.query_generation += 1;
         id

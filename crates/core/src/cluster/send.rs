@@ -427,8 +427,8 @@ impl<R: ContentRouter> Cluster<R> {
     pub(super) fn apply(&mut self, to: ChordId, effect: &PendingEffect, now: SimTime) {
         match effect {
             PendingEffect::StoreMbr(rec) => self.node_mut(to).store_mbr_ref(rec),
-            PendingEffect::SubscribeSimilarity(q) => {
-                self.node_mut(to).subscribe_similarity(q.clone());
+            &PendingEffect::SubscribeSimilarity { query, expires } => {
+                self.node_mut(to).subscribe_similarity(query, expires);
             }
             PendingEffect::SubscribeInnerProduct(q) => {
                 self.node_mut(to).subscribe_inner_product(q.clone());
@@ -492,7 +492,7 @@ impl<R: ContentRouter> Cluster<R> {
             PendingEffect::StoreMbr(rec) => {
                 rec.expires > now && !self.nodes[&node].summaries().any(|s| s.matches(rec))
             }
-            PendingEffect::SubscribeSimilarity(q) => !q.expired(now),
+            PendingEffect::SubscribeSimilarity { expires, .. } => now < *expires,
             PendingEffect::SubscribeInnerProduct(q) => !q.expired(now),
             PendingEffect::SubscribeAggregate { query } => {
                 self.aggregates.iter().any(|a| a.query.id == *query && !a.query.expired(now))

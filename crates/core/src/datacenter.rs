@@ -51,9 +51,10 @@ pub struct DataCenter {
     /// shard to this node's dim-0 key interval, so it carries no local
     /// index of its own.
     store: SummaryStore,
-    /// Similarity subscriptions replicated over this node's interval, by
-    /// id (the accessors below yield them in id order).
-    subscriptions: BTreeMap<QueryId, SimilarityQuery>,
+    /// Similarity subscriptions replicated over this node's interval:
+    /// `(id, expires)` sorted by id. The query itself lives once, in the
+    /// cluster's registry; only its aggregator reads it.
+    subscriptions: Vec<(QueryId, SimTime)>,
     /// Inner-product subscriptions for streams this node sources, by id.
     ip_subscriptions: BTreeMap<QueryId, InnerProductQuery>,
     /// Location-service shard: streams whose `h2` key this node owns.
@@ -206,10 +207,19 @@ impl DataCenter {
     // ------------------------------------------------------------------
 
     /// Registers a similarity subscription (replica of a query whose key
-    /// range covers this node).
-    pub fn subscribe_similarity(&mut self, q: SimilarityQuery) {
-        note_expiry(&mut self.next_expiry, q.expires);
-        self.subscriptions.insert(q.id, q);
+    /// range covers this node), replacing the expiry of one with the same
+    /// id. Query ids are issued in order, so a fresh post appends, touching
+    /// only the table's tail instead of a binary search's cold lines.
+    pub fn subscribe_similarity(&mut self, id: QueryId, expires: SimTime) {
+        note_expiry(&mut self.next_expiry, expires);
+        if self.subscriptions.last().is_none_or(|&(last, _)| last < id) {
+            self.subscriptions.push((id, expires));
+            return;
+        }
+        match self.subscriptions.binary_search_by_key(&id, |&(q, _)| q) {
+            Ok(pos) => self.subscriptions[pos].1 = expires,
+            Err(pos) => self.subscriptions.insert(pos, (id, expires)),
+        }
     }
 
     /// Registers an inner-product subscription at the stream's source node.
@@ -221,13 +231,13 @@ impl DataCenter {
     /// Whether a similarity subscription with this id is replicated here
     /// (expired or not).
     pub fn has_subscription(&self, q: QueryId) -> bool {
-        self.subscriptions.contains_key(&q)
+        self.subscriptions.binary_search_by_key(&q, |&(id, _)| id).is_ok()
     }
 
-    /// Every similarity subscription, including not-yet-purged expired
-    /// ones, in id order.
-    pub fn all_subscriptions(&self) -> impl Iterator<Item = &SimilarityQuery> {
-        self.subscriptions.values()
+    /// Every similarity subscription as `(id, expires)`, including
+    /// not-yet-purged expired ones, in id order.
+    pub fn all_subscriptions(&self) -> impl Iterator<Item = (QueryId, SimTime)> + '_ {
+        self.subscriptions.iter().copied()
     }
 
     /// Every inner-product subscription, including not-yet-purged expired
@@ -236,9 +246,9 @@ impl DataCenter {
         self.ip_subscriptions.values()
     }
 
-    /// Active similarity subscriptions at `now`, in id order.
-    pub fn active_subscriptions(&self, now: SimTime) -> impl Iterator<Item = &SimilarityQuery> {
-        self.subscriptions.values().filter(move |q| !q.expired(now))
+    /// Ids of the active similarity subscriptions at `now`, in id order.
+    pub fn active_subscriptions(&self, now: SimTime) -> impl Iterator<Item = QueryId> + '_ {
+        self.subscriptions.iter().filter(move |&&(_, expires)| now < expires).map(|&(id, _)| id)
     }
 
     /// Active inner-product subscriptions at `now`, in id order.
@@ -301,7 +311,7 @@ impl DataCenter {
             keep
         };
         self.store.retain(|s| live(s.expires));
-        self.subscriptions.retain(|_, q| live(q.expires));
+        self.subscriptions.retain(|&(_, expires)| live(expires));
         self.ip_subscriptions.retain(|_, q| live(q.expires));
         self.next_expiry = next;
         before - (self.store.len() + self.subscriptions.len() + self.ip_subscriptions.len())
@@ -378,7 +388,7 @@ mod tests {
         let mut dc = DataCenter::new(5);
         dc.store_mbr(stored(1, &wave(32, 0.3), 100));
         dc.store_mbr(stored(2, &wave(32, 0.4), 300));
-        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.1, 200));
+        dc.subscribe_similarity(1, SimTime::from_ms(200));
         let removed = dc.purge_expired(SimTime::from_ms(250));
         assert_eq!(removed, 2); // MBR of stream 1 + the subscription
         assert_eq!(dc.mbr_count(), 1);
@@ -409,10 +419,16 @@ mod tests {
     #[test]
     fn subscription_replacement_by_id() {
         let mut dc = DataCenter::new(5);
-        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.1, 1000));
-        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.2, 1000));
-        let radii: Vec<f64> = dc.active_subscriptions(SimTime::ZERO).map(|q| q.radius).collect();
-        assert_eq!(radii, vec![0.2]);
+        dc.subscribe_similarity(3, SimTime::from_ms(1000));
+        dc.subscribe_similarity(1, SimTime::from_ms(1000));
+        dc.subscribe_similarity(1, SimTime::from_ms(2000));
+        dc.subscribe_similarity(2, SimTime::from_ms(500));
+        let subs: Vec<(QueryId, SimTime)> = dc.all_subscriptions().collect();
+        assert_eq!(
+            subs,
+            [(1, SimTime::from_ms(2000)), (2, SimTime::from_ms(500)), (3, SimTime::from_ms(1000))]
+        );
+        assert_eq!(dc.active_subscriptions(SimTime::from_ms(700)).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]
@@ -446,7 +462,7 @@ mod tests {
     fn purge_skips_scan_until_first_expiry() {
         let mut dc = DataCenter::new(5);
         dc.store_mbr(stored(1, &wave(32, 0.3), 1000));
-        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.1, 2000));
+        dc.subscribe_similarity(1, SimTime::from_ms(2000));
         assert_eq!(dc.purge_expired(SimTime::from_ms(999)), 0);
         assert_eq!(dc.mbr_count(), 1);
         assert_eq!(dc.purge_expired(SimTime::from_ms(1000)), 1);
@@ -460,7 +476,7 @@ mod tests {
         let mut dc = DataCenter::new(5);
         dc.store_mbr(stored(1, &wave(32, 0.3), 1000));
         dc.store_mbr(stored(2, &wave(32, 0.4), 3000));
-        dc.subscribe_similarity(query(1, wave(32, 0.3), 0.1, 2000));
+        dc.subscribe_similarity(1, SimTime::from_ms(2000));
         // Rebalancing moves the earliest-expiring replica away; the bound
         // stays at 1000 (stale-low), which may only cost a no-op purge.
         dc.retain_mbrs(|s| s.stream != 1);
@@ -468,7 +484,7 @@ mod tests {
             let now = SimTime::from_ms(t);
             assert_eq!(dc.purge_expired(now), expired, "t={t}");
             assert!(dc.summaries().all(|s| now < s.expires), "t={t}");
-            assert!(dc.all_subscriptions().all(|q| now < q.expires), "t={t}");
+            assert!(dc.all_subscriptions().all(|(_, expires)| now < expires), "t={t}");
         }
     }
 
@@ -493,7 +509,7 @@ mod tests {
         // `expired(now)` is `now >= expires`: an item expiring exactly at
         // the purge tick must go in that purge, and the expiry bound
         // (`next_expiry <= now`) must let the scan run at equality.
-        dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
+        dc.subscribe_similarity(1, SimTime::from_ms(1000));
         dc.store_mbr(stored(0, &wave(32, 0.2), 1000));
         let tick = SimTime::from_ms(1000);
         assert_eq!(dc.purge_expired(tick), 2, "boundary items purged exactly at their tick");
@@ -510,8 +526,8 @@ mod tests {
         // A duplicated NPER delivery re-subscribes the same query; the
         // replacement must not count twice. The purge at expiry removes the
         // single live copy once; purging again at the same tick is a no-op.
-        dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
-        dc.subscribe_similarity(query(1, wave(32, 0.2), 0.3, 1000));
+        dc.subscribe_similarity(1, SimTime::from_ms(1000));
+        dc.subscribe_similarity(1, SimTime::from_ms(1000));
         let tick = SimTime::from_ms(1000);
         assert_eq!(dc.purge_expired(tick), 1, "one live copy, one removal");
         assert_eq!(dc.purge_expired(tick), 0, "nothing left to purge");

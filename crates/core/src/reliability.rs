@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::datacenter::StoredMbr;
-use crate::query::{InnerProductQuery, QueryId, SimilarityQuery, StreamId};
+use crate::query::{InnerProductQuery, QueryId, StreamId};
 
 /// Retry budget per logical message; exhaustion makes the message `Lost`
 /// and triggers graceful degradation at the call site.
@@ -136,8 +136,14 @@ impl ReliabilityState {
 pub enum PendingEffect {
     /// A late replica copy lands in the target's MBR index.
     StoreMbr(StoredMbr),
-    /// A late similarity subscription activates on the target node.
-    SubscribeSimilarity(SimilarityQuery),
+    /// A late similarity subscription activates on the target node. The
+    /// query itself stays in the cluster's registry.
+    SubscribeSimilarity {
+        /// The similarity query being subscribed to.
+        query: QueryId,
+        /// When the subscription expires.
+        expires: SimTime,
+    },
     /// A late inner-product subscription activates on the source node.
     SubscribeInnerProduct(InnerProductQuery),
     /// A late location-service refresh lands on the `h2` owner.

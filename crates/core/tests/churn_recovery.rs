@@ -190,13 +190,11 @@ fn query_subscriptions_recover_after_crash() {
         let target = c.streams()[0].extractor.window_snapshot();
         let qid = c.post_similarity_query(1, target.clone(), 0.2, 120_000, SimTime::from_ms(3300));
 
-        let q = c
-            .node_ids()
-            .iter()
-            .flat_map(|&n| c.node(n).all_subscriptions())
-            .find(|q| q.id == qid)
-            .expect("query subscribed somewhere")
-            .clone();
+        assert!(
+            c.node_ids().iter().any(|&n| c.node(n).has_subscription(qid)),
+            "query subscribed somewhere"
+        );
+        let q = c.similarity_query(qid).expect("registered").clone();
         let (lo, hi) = radius_key_range(c.space(), q.feature.first_real(), q.radius);
 
         // Crash one covering node (if any besides the client exists).

@@ -295,7 +295,7 @@ proptest! {
                     let expired = before - (dc_mbrs.len() + subs.len() + ip_subs.len());
                     prop_assert_eq!(dc.purge_expired(now), expired, "purge count at t={}", t);
                     prop_assert!(dc.summaries().all(|s| now < s.expires));
-                    prop_assert!(dc.all_subscriptions().all(|q| now < q.expires));
+                    prop_assert!(dc.all_subscriptions().all(|(_, expires)| now < expires));
                     prop_assert!(dc.all_ip_subscriptions().all(|q| now < q.expires));
                     prop_assert_eq!(dc.mbr_count(), dc_mbrs.len());
                     prop_assert_eq!(dc.subscription_count(), subs.len() + ip_subs.len());
@@ -306,20 +306,10 @@ proptest! {
                 }
                 9 | 10 => {
                     let id = u64::from(*stream % 4);
-                    dc.subscribe_similarity(SimilarityQuery {
-                        id,
-                        client: 0,
-                        feature: FeatureVector::new(
-                            vec![Complex64::new(0.1, 0.2)],
-                            Normalization::UnitNorm,
-                        ),
-                        target: Vec::new(),
-                        radius: 0.1,
-                        kind: SimilarityKind::Subsequence,
-                        aggregator: 0,
-                        expires: SimTime::from_ms(*t),
-                    });
+                    dc.subscribe_similarity(id, SimTime::from_ms(*t));
                     subs.insert(id, *t);
+                    let table = dc.all_subscriptions().map(|(id, e)| (id, e.as_ms()));
+                    prop_assert!(table.eq(subs.iter().map(|(&id, &e)| (id, e))));
                 }
                 _ => {
                     let id = u64::from(*stream % 4);

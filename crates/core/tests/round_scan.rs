@@ -72,13 +72,11 @@ impl World {
         let radius = self.rng.gen_range(0.3..0.9);
         let client = self.rng.gen_range(0..self.c.num_nodes());
         let id = self.c.post_similarity_query(client, target, radius, 60_000, now);
-        let q = self
-            .c
-            .node_ids()
-            .iter()
-            .find_map(|&n| self.c.node(n).all_subscriptions().find(|q| q.id == id).cloned())
-            .expect("a lossless post subscribes its covering nodes");
-        self.queries.push(q);
+        assert!(
+            self.c.node_ids().iter().any(|&n| self.c.node(n).has_subscription(id)),
+            "a lossless post subscribes its covering nodes"
+        );
+        self.queries.push(self.c.similarity_query(id).expect("registered").clone());
     }
 }
 

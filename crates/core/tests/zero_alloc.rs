@@ -221,3 +221,51 @@ fn emissions_allocate_per_message_not_per_replica() {
          emission cost must not scale with the replica count"
     );
 }
+
+#[test]
+fn posting_a_query_allocates_per_post_not_per_covering_node() {
+    const NODES: usize = 256;
+    const WINDOW: u64 = 16;
+
+    let mut cfg = ClusterConfig::new(NODES);
+    cfg.workload.window_len = WINDOW as usize;
+    let mut cluster = Cluster::new(cfg);
+    // One target, so every post is centred on the same key and the wide
+    // posts keep landing on the same covering nodes.
+    let target: Vec<f64> = (0..WINDOW).map(|t| value(0, t)).collect();
+
+    // Posts `n` queries of `radius` (nothing expires); returns the
+    // allocations per post and the covering nodes each subscribed.
+    let post = |cluster: &mut Cluster, radius: f64, n: u64| {
+        let (mut allocs, mut covered) = (0u64, 0usize);
+        for _ in 0..n {
+            let target = target.clone();
+            let before = allocation_count();
+            let id = cluster.post_similarity_query(0, target, radius, 1 << 40, SimTime::ZERO);
+            allocs += allocation_count() - before;
+            let nodes = cluster.node_ids();
+            covered +=
+                nodes.iter().filter(|&&node| cluster.node(node).has_subscription(id)).count();
+        }
+        (allocs as f64 / n as f64, covered as f64 / n as f64)
+    };
+
+    // Warm-up: the covering nodes' subscription tables and the registry
+    // grow past their first doublings.
+    post(&mut cluster, 0.4, 1_024);
+    post(&mut cluster, 0.001, 64);
+    let (narrow_allocs, narrow_fan) = post(&mut cluster, 0.001, 256);
+    let (wide_allocs, wide_fan) = post(&mut cluster, 0.4, 256);
+    assert!(narrow_fan < 4.0, "narrow posts must cover few nodes, got {narrow_fan:.1}");
+    assert!(wide_fan > 16.0, "wide posts must cover many nodes, got {wide_fan:.1}");
+    // What a post allocates — the feature vector, the route, the plan, the
+    // registry entry — does not depend on how many nodes subscribe. A copy
+    // of the query per covering node would add at least two blocks (its
+    // coefficients and its target) per extra node.
+    let per_extra_node = (wide_allocs - narrow_allocs) / (wide_fan - narrow_fan);
+    assert!(
+        per_extra_node < 0.25,
+        "{narrow_allocs:.1} allocations per post at {narrow_fan:.1} covering nodes, \
+         {wide_allocs:.1} at {wide_fan:.1}: a post must not allocate per covering node"
+    );
+}

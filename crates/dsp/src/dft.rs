@@ -2,8 +2,9 @@
 //!
 //! The paper (Eq. 3/4) uses the unitary convention with a `1/sqrt(N)` factor
 //! in **both** directions, so that the transform preserves signal energy
-//! (Parseval). This module is the reference implementation; the incremental
-//! update in [`crate::sliding`] is tested against it.
+//! (Parseval). [`dft`] is the reference implementation: the incremental
+//! update in [`crate::sliding`] and the k-bin batch path behind
+//! [`crate::extract_features`] are tested against it.
 //!
 //! Kernel values come from the per-length tables in [`crate::kernel`], so the
 //! `n^2` `cis()` calls are paid once per transform length per thread instead
@@ -12,17 +13,25 @@
 
 use crate::complex::Complex64;
 use crate::kernel;
+use std::ops::Range;
 
 /// Computes the unitary DFT of a real signal:
 /// `X_f = (1/sqrt(N)) * sum_i x_i e^{-j 2 pi f i / N}`.
 pub fn dft(signal: &[f64]) -> Vec<Complex64> {
+    dft_bins(signal, 0..signal.len())
+}
+
+/// The bins `bins` of [`dft`] (clamped to the signal length), each summed
+/// in the same order, so every value is bit-identical to the full
+/// transform's. Reads only those rows of the kernel table.
+pub(crate) fn dft_bins(signal: &[f64], bins: Range<usize>) -> Vec<Complex64> {
     let n = signal.len();
     if n == 0 {
         return Vec::new();
     }
     let scale = 1.0 / (n as f64).sqrt();
     kernel::with_kernel(n, |k| {
-        (0..n)
+        (bins.start.min(n)..bins.end.min(n))
             .map(|f| {
                 let mut acc = Complex64::ZERO;
                 for (i, &x) in signal.iter().enumerate() {

@@ -3,7 +3,7 @@
 //! distributed index free of false dismissals (Eq. 9).
 
 use crate::complex::Complex64;
-use crate::dft::dft;
+use crate::dft::dft_bins;
 use crate::normalize::{normalize, Normalization, SlidingStats};
 use crate::sliding::SlidingDft;
 use crate::window::SlidingWindow;
@@ -131,15 +131,15 @@ pub struct SummaryScratch {
 }
 
 /// Batch feature extraction: normalizes a full window and takes the DFT
-/// prefix. Reference implementation for [`FeatureExtractor`].
+/// prefix. Reference implementation for [`FeatureExtractor`]. Only the
+/// `k` retained bins are transformed; each is bit-identical to the same
+/// bin of [`crate::dft::dft`].
 pub fn extract_features(window: &[f64], mode: Normalization, k: usize) -> FeatureVector {
-    let normalized = normalize(window, mode);
-    let spectrum = dft(&normalized);
-    let coeffs = match mode {
-        Normalization::ZNorm => spectrum.iter().skip(1).take(k).copied().collect(),
-        Normalization::UnitNorm => spectrum.iter().take(k).copied().collect(),
+    let first = match mode {
+        Normalization::ZNorm => 1,
+        Normalization::UnitNorm => 0,
     };
-    FeatureVector::new(coeffs, mode)
+    FeatureVector::new(dft_bins(&normalize(window, mode), first..first + k), mode)
 }
 
 /// Incremental per-stream feature extraction pipeline.
@@ -335,6 +335,29 @@ mod tests {
 
     fn ramp(n: usize, slope: f64, phase: f64) -> Vec<f64> {
         (0..n).map(|i| slope * i as f64 + (i as f64 * 0.9 + phase).sin()).collect()
+    }
+
+    #[test]
+    fn k_bin_features_are_bit_identical_to_the_full_spectrum_prefix() {
+        // 600 exceeds the kernel cache's longest tabulated length, so it
+        // takes the on-the-fly kernel path.
+        const { assert!(600 > crate::kernel::MAX_CACHED_LEN) };
+        for w in [7usize, 16, 64, 128, 600] {
+            let x = ramp(w, 0.03, 0.4);
+            for (mode, first) in [(Normalization::ZNorm, 1), (Normalization::UnitNorm, 0)] {
+                let spectrum = crate::dft::dft(&normalize(&x, mode));
+                for k in 1..=w / 2 {
+                    let got = extract_features(&x, mode, k);
+                    let want = &spectrum[first..first + k];
+                    assert_eq!(got.k(), k, "w={w} k={k} {mode:?}");
+                    for (f, (g, e)) in got.coeffs().iter().zip(want).enumerate() {
+                        let at = format!("w={w} k={k} {mode:?} bin {}", first + f);
+                        assert_eq!(g.re.to_bits(), e.re.to_bits(), "{at} (re)");
+                        assert_eq!(g.im.to_bits(), e.im.to_bits(), "{at} (im)");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! same windows are transformed over and over (every stream uses the same
 //! `window_len`, every query target the same), so this module memoizes the
 //! full unitary kernel matrix per transform length in a thread-local cache.
+//! A query's features read only the `k` rows of its retained bins
+//! ([`crate::extract_features`]); the full-spectrum [`crate::dft::dft`] is
+//! the reference the tests compare them against.
 //!
 //! **Determinism contract:** the cached forward entry for `(f, i)` is computed
 //! with the *exact* expression the naive loop used, `cis(step * (f * i) as
