@@ -158,7 +158,7 @@ impl MbrBatcher {
     }
 
     /// Emits the pending batch's MBR and resets the member count.
-    // dsilint: allow(hot-path-alloc, cold boundary: called only when a batch closes — the emission path; non-emitting pushes return before reaching it)
+    // Cold boundary: called only when a batch closes — the emission path; non-emitting pushes return before reaching it.
     fn take_mbr(&mut self) -> Mbr {
         self.produced += 1;
         self.members = 0;

@@ -64,7 +64,7 @@ fn store_last_feature(s: &mut StreamRuntime, scratch: &SummaryScratch) {
     let mode = s.extractor.mode();
     match &mut s.last_feature {
         Some(lf) => lf.overwrite(&scratch.coeffs, mode),
-        // dsilint: allow(hot-path-alloc, first emission of a stream only: every later tick takes the overwrite arm and reuses this capacity)
+        // First emission of a stream only: every later tick takes the overwrite arm and reuses this capacity.
         None => s.last_feature = Some(FeatureVector::new(scratch.coeffs.clone(), mode)),
     }
 }
@@ -154,7 +154,7 @@ impl<R: ContentRouter> Cluster<R> {
         values: &[(StreamId, f64)],
         now: SimTime,
     ) -> Vec<(StreamId, Mbr, MulticastPlan)> {
-        // dsilint: allow(hot-path-alloc, capacity-0 Vec is heap-free; only emissions grow it, and callers on the steady path use ingest_batch_into)
+        // A capacity-0 Vec is heap-free; only emissions grow it, and callers on the steady path use ingest_batch_into.
         let mut out = Vec::new();
         self.ingest_batch_into(values, now, &mut out);
         out
@@ -236,7 +236,7 @@ impl<R: ContentRouter> Cluster<R> {
         emitted.resize(values.len(), None);
         {
             // Carve disjoint `&mut` views of the touched streams, in order.
-            // dsilint: allow(hot-path-alloc, parallel lane only — batches under PARALLEL_INGEST_MIN never get here, and the §14 contract covers the sequential path; scoped threads allocate by design)
+            // Parallel lane only — batches under PARALLEL_INGEST_MIN never get here, and the §14 contract covers the sequential path; scoped threads allocate by design.
             let mut tasks: Vec<(&mut StreamRuntime, f64)> = Vec::with_capacity(values.len());
             let mut rest: &mut [StreamRuntime] = &mut self.streams;
             let mut offset = 0usize;
@@ -291,7 +291,7 @@ impl<R: ContentRouter> Cluster<R> {
     /// Kept out of line so the per-item summarization loops stay tight —
     /// emissions are the rare path.
     #[inline(never)]
-    // dsilint: allow(hot-path-alloc, cold boundary: MBR emission is the rare path — §14 pins non-emitting steady-state ticks, and emission owns its plan buffers)
+    // Cold boundary: MBR emission is the rare path — §14 pins non-emitting steady-state ticks, and emission owns its plan buffers.
     fn replicate_mbr_ret(
         &mut self,
         stream: StreamId,

@@ -273,7 +273,7 @@ impl SortableSummaryIndex {
     }
 
     /// Sorts the staged tail into a run and merges runs of similar size.
-    // dsilint: allow(hot-path-alloc, cold boundary: no ingest path indexes summaries, but the name-based call graph reaches every insert, e.g. from EcmSketch::update; run merges amortize to O of log n reallocations per insert)
+    // Run merges amortize to O(log n) reallocations per insert; no ingest path indexes summaries.
     pub fn compact(&mut self) {
         if self.staged.is_empty() {
             return;

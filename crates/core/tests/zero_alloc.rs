@@ -1,11 +1,34 @@
-//! Proof that steady-state ingest allocates nothing on the heap.
+//! The hot-path allocation gate: steady-state ingest allocates nothing on
+//! the heap. No other check in the workspace guards this contract.
 //!
 //! A counting global allocator wraps the system allocator for this whole
 //! test process; after a warm-up phase fills every reusable buffer
 //! (extractor windows, the cluster's `SummaryScratch`, batcher running
-//! bounds, the batch emission slots), a non-emitting tick of `post_value`
-//! or a sub-threshold `ingest_batch` must leave the allocation counter
-//! untouched.
+//! bounds, the batch emission slots, sketch bucket storage), 64
+//! non-emitting ticks of each entry point — `post_value`, `ingest_batch`
+//! and `ingest_batch_into` with a reused `out` — must leave the allocation
+//! counter untouched.
+//!
+//! The test is a table: a branch no case runs is a branch this file does
+//! not gate, so each axis of the matrix is there for a branch no other
+//! case runs (an M-number names the mutant of DESIGN.md §14's table that
+//! only that branch catches):
+//!
+//! - width bound, `None` or `Some(10.0)` (a bound that never trips): the
+//!   width probe of `MbrBatcher::push_reals` (M2);
+//! - similarity kind, `Correlation` or `Subsequence`: the z-norm and the
+//!   unit-norm arms of `FeatureExtractor::current_into` (M7);
+//! - fault plan, disarmed or armed with a drop probability that never
+//!   fires on a tick that sends nothing: arming the reliability layer must
+//!   add nothing to a tick that ships no MBR;
+//! - home node, live or crashed before warm-up: the orphaned
+//!   (`homed == false`) arm of `summarize_one` and the replica-less arm of
+//!   `update_aggregates`.
+//!
+//! Every case also runs a live `WindowCount` aggregate (`update_aggregates`
+//! and the sketch update), a live similarity query, and one stream that is
+//! identically `0.0`, which takes the zero-denominator arm of both
+//! normalisations (M9 for z-norm, M10 for unit-norm).
 //!
 //! The zero-alloc contract covers the *sequential* inline path: batches
 //! below `PARALLEL_INGEST_MIN` (32) and the per-value `post_value` loop.
@@ -19,11 +42,13 @@
 //!
 //! Kept as its own integration test so the global allocator doesn't
 //! interfere with any other suite; allocations are counted per thread, so
-//! the two tests here don't interfere with each other either.
+//! the tests here don't interfere with each other either.
 
+use dsi_chord::MulticastPlan;
 use dsi_core::aggregate::{AggregateKind, AggregateSpec};
-use dsi_core::{Cluster, ClusterConfig};
-use dsi_simnet::SimTime;
+use dsi_core::{Cluster, ClusterConfig, SimilarityKind};
+use dsi_dsp::Mbr;
+use dsi_simnet::{FaultPlan, FaultSpec, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -75,98 +100,144 @@ fn value(stream: u32, tick: u64) -> f64 {
     5.0 + ((stream as f64) * 0.37 + (tick as f64) * 0.11).sin() * 2.0
 }
 
+/// One row of the zero-alloc matrix (the axes of the module doc).
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    max_width: Option<f64>,
+    kind: SimilarityKind,
+    armed: bool,
+    orphan: bool,
+}
+
+/// The three ingest entry points the contract covers.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    PostValue,
+    IngestBatch,
+    IngestBatchInto,
+}
+
+const ENTRIES: [Entry; 3] = [Entry::PostValue, Entry::IngestBatch, Entry::IngestBatchInto];
+
+/// Feeds one tick of `values` through `entry`; returns whether anything
+/// was emitted.
+fn ingest(
+    cluster: &mut Cluster,
+    entry: Entry,
+    values: &[(u32, f64)],
+    now: SimTime,
+    out: &mut Vec<(u32, Mbr, MulticastPlan)>,
+) -> bool {
+    match entry {
+        Entry::PostValue => {
+            let mut emitted = false;
+            for &(s, v) in values {
+                emitted |= cluster.post_value(s, v, now).is_some();
+            }
+            emitted
+        }
+        Entry::IngestBatch => !cluster.ingest_batch(values, now).is_empty(),
+        Entry::IngestBatchInto => {
+            cluster.ingest_batch_into(values, now, out);
+            !out.is_empty()
+        }
+    }
+}
+
 #[test]
 fn steady_state_ingest_is_allocation_free() {
     const STREAMS: usize = 8; // below PARALLEL_INGEST_MIN: inline path
     const WINDOW: usize = 16;
+    const NODES: usize = 6;
 
-    let mut cfg = ClusterConfig::new(6);
-    cfg.workload.window_len = WINDOW;
-    // A batch size no run of this test can reach: every measured tick is a
-    // non-emitting one, which is exactly the steady state the zero-alloc
-    // contract covers.
-    cfg.workload.mbr_batch = 1_000_000;
-    // No width bound: a width-triggered early shipment would emit (and
-    // legitimately allocate) mid-measurement.
-    cfg.workload.mbr_max_width = None;
-    let mut cluster = Cluster::new(cfg);
-    for i in 0..STREAMS {
-        cluster.register_stream(&format!("za-{i}"), i % 6);
-    }
-    // An active aggregate query rides the same contract: per-value sketch
-    // updates go through preallocated exponential-histogram storage, so
-    // warm non-emitting ticks stay allocation-free with it enabled
-    // (notify cycles, which merge and allocate, are not part of the
-    // measured steady state).
-    cluster.post_aggregate_query(
-        0,
-        AggregateSpec {
-            kind: AggregateKind::WindowCount,
-            eps: 0.2,
-            delta: 0.1,
-            window_ms: 5_000,
-            lifespan_ms: u64::MAX / 2,
-            bins: 64,
-            forced_dims: None,
-        },
-        SimTime::ZERO,
-    );
-
-    // Warm-up: fill every window, grow every scratch buffer, exercise both
-    // entry points so `emit_scratch` and the batcher bounds reach their
-    // high-water capacity.
-    let mut values: Vec<(u32, f64)> = (0..STREAMS as u32).map(|s| (s, 0.0)).collect();
-    let mut tick = 0u64;
-    for _ in 0..(WINDOW as u64 * 4) {
-        for slot in values.iter_mut() {
-            slot.1 = value(slot.0, tick);
-        }
-        let now = SimTime::from_ms(tick * 100);
-        if tick.is_multiple_of(2) {
-            let emitted = cluster.ingest_batch(&values, now);
-            assert!(emitted.is_empty(), "warm-up must not emit (huge batch size)");
-        } else {
-            for &(s, v) in &values {
-                assert!(cluster.post_value(s, v, now).is_none());
+    let mut cases = Vec::new();
+    for max_width in [None, Some(10.0)] {
+        for kind in [SimilarityKind::Correlation, SimilarityKind::Subsequence] {
+            for armed in [false, true] {
+                for orphan in [false, true] {
+                    cases.push(Case { max_width, kind, armed, orphan });
+                }
             }
         }
-        tick += 1;
     }
 
-    // Measured phase: per-value posts.
-    let before = allocation_count();
-    for _ in 0..64 {
-        for slot in values.iter_mut() {
-            slot.1 = value(slot.0, tick);
+    let mut measured = Vec::new();
+    for case in cases {
+        let mut cfg = ClusterConfig::new(NODES);
+        cfg.kind = case.kind;
+        cfg.workload.window_len = WINDOW;
+        // A batch size no run of this test can reach: every measured tick is
+        // a non-emitting one, which is exactly the steady state the
+        // zero-alloc contract covers. Normalised features stay within
+        // [-1, 1], so a width bound of 10 never ships early either.
+        cfg.workload.mbr_batch = 1_000_000;
+        cfg.workload.mbr_max_width = case.max_width;
+        let mut cluster = Cluster::new(cfg);
+        for i in 0..STREAMS {
+            cluster.register_stream(&format!("za-{i}"), i % NODES);
         }
-        let now = SimTime::from_ms(tick * 100);
-        for &(s, v) in &values {
-            let plan = cluster.post_value(s, v, now);
-            assert!(plan.is_none(), "measured phase must not emit");
+        if case.armed {
+            let spec = FaultSpec { drop_prob: 1e-9, ..FaultSpec::NONE };
+            cluster.set_fault_plan(FaultPlan::uniform(spec), 7);
         }
-        tick += 1;
-    }
-    let post_value_allocs = allocation_count() - before;
-    assert_eq!(
-        post_value_allocs, 0,
-        "post_value steady state must not allocate ({post_value_allocs} allocations in 64 ticks)"
-    );
+        // Per-value sketch updates go through preallocated
+        // exponential-histogram storage (notify cycles, which merge and
+        // allocate, are not part of the measured steady state).
+        cluster.post_aggregate_query(
+            0,
+            AggregateSpec {
+                kind: AggregateKind::WindowCount,
+                eps: 0.2,
+                delta: 0.1,
+                window_ms: 5_000,
+                lifespan_ms: u64::MAX / 2,
+                bins: 64,
+                forced_dims: None,
+            },
+            SimTime::ZERO,
+        );
+        let target: Vec<f64> = (0..WINDOW as u64).map(|t| value(1, t)).collect();
+        cluster.post_similarity_query(0, target, 0.2, 1 << 40, SimTime::ZERO);
+        if case.orphan {
+            // Streams 1 and 7 lose their home and go silent.
+            let home = cluster.streams()[1].home;
+            cluster.crash_node(home);
+        }
 
-    // Measured phase: sub-threshold batches on the inline sequential path.
-    let before = allocation_count();
-    for _ in 0..64 {
-        for slot in values.iter_mut() {
-            slot.1 = value(slot.0, tick);
+        // Stream 0 is identically zero: both normalisations divide by 0.
+        let mut values: Vec<(u32, f64)> = (0..STREAMS as u32).map(|s| (s, 0.0)).collect();
+        let mut out = Vec::new();
+        let mut tick = 0u64;
+        let mut step = |cluster: &mut Cluster, entry: Entry, out: &mut Vec<_>| {
+            for slot in values.iter_mut().skip(1) {
+                slot.1 = value(slot.0, tick);
+            }
+            let emitted = ingest(cluster, entry, &values, SimTime::from_ms(tick * 100), out);
+            assert!(!emitted, "{case:?} {entry:?} must not emit (huge batch size)");
+            tick += 1;
+        };
+
+        // Warm-up: fill every window, grow every scratch buffer, run every
+        // entry point so `out` and the batcher bounds reach their
+        // high-water capacity.
+        for round in 0..WINDOW * 4 {
+            step(&mut cluster, ENTRIES[round % ENTRIES.len()], &mut out);
         }
-        let now = SimTime::from_ms(tick * 100);
-        let emitted = cluster.ingest_batch(&values, now);
-        assert!(emitted.is_empty(), "measured phase must not emit");
-        tick += 1;
+        for entry in ENTRIES {
+            let before = allocation_count();
+            for _ in 0..64 {
+                step(&mut cluster, entry, &mut out);
+            }
+            measured.push((case, entry, allocation_count() - before));
+        }
     }
-    let batch_allocs = allocation_count() - before;
-    assert_eq!(
-        batch_allocs, 0,
-        "inline ingest_batch steady state must not allocate ({batch_allocs} allocations in 64 ticks)"
+
+    assert_eq!(measured.len(), 48, "16 configurations x 3 entry points");
+    let allocating: Vec<_> = measured.iter().filter(|m| m.2 != 0).collect();
+    assert!(
+        allocating.is_empty(),
+        "warm non-emitting ticks must not allocate; (case, entry, allocations in 64 ticks): \
+         {allocating:?}"
     );
 }
 

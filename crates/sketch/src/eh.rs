@@ -50,7 +50,7 @@ impl Clone for ExpHistogram {
     /// allocates exactly `len`), and the first inserts into a cloned
     /// sketch replica would regrow it — breaking the zero-alloc ingest
     /// contract for every histogram built via `vec![cell; n]`.
-    // dsilint: allow(hot-path-alloc, a clone constructs the copy's buckets once — replica setup and merge cadence, never the steady-state tick; nominal .clone resolution aliases this with Vec::clone)
+    // A clone constructs the copy's buckets once — replica setup and merge cadence, never the steady-state tick.
     fn clone(&self) -> Self {
         let mut buckets = Vec::with_capacity(self.cap.max(self.buckets.len()));
         buckets.extend_from_slice(&self.buckets);
