@@ -9,7 +9,7 @@ use crate::mapping::{interval_key_range, radius_key_range};
 use crate::query::{QueryId, StreamId};
 use crate::reliability::PendingEffect;
 use dsi_chord::{ChordId, ContentRouter, Ring};
-use dsi_simnet::{MsgClass, SimTime};
+use dsi_simnet::{DetMap, MsgClass, SimTime};
 
 impl<R: ContentRouter> Cluster<R> {
     // ------------------------------------------------------------------
@@ -45,23 +45,42 @@ impl<R: ContentRouter> Cluster<R> {
         self.rebalance_inner(Some(now));
     }
 
+    #[cold]
     fn rebalance_inner(&mut self, filter: Option<SimTime>) {
         // ---- MBR replicas ----
-        // One entry per distinct surviving record, with a holder to copy
-        // from.
+        // One pass over the stored replicas: one entry per distinct
+        // surviving record in first-seen order, with a holder to copy from
+        // and every node that already holds it. Each membership test below
+        // is then a lookup. `by_key` only narrows the candidates —
+        // `SummaryRef::matches` decides identity, because one stream posted
+        // twice at one instant ships two batches under one key — and is only
+        // probed, never walked, so the order of records, copies and fault
+        // draws stays deterministic.
         let mut records: Vec<(StoredMbr, ChordId)> = Vec::new();
+        let mut holders: Vec<Vec<ChordId>> = Vec::new();
+        let mut by_key: DetMap<(StreamId, ChordId, SimTime), Vec<usize>> = DetMap::default();
         for &n in &self.node_order {
             for s in self.nodes[&n].summaries() {
                 if filter.is_some_and(|now| now >= s.expires) {
                     continue;
                 }
-                if !records.iter().any(|(r, _)| s.matches(r)) {
-                    records.push((s.to_stored(), n));
+                let bucket = by_key.entry((s.stream, s.origin, s.expires)).or_default();
+                if let Some(&i) = bucket.iter().find(|&&i| s.matches(&records[i].0)) {
+                    if holders[i].last() != Some(&n) {
+                        holders[i].push(n);
+                    }
+                } else {
+                    let rec = s.to_stored();
+                    // A record whose corners are not equal to themselves
+                    // (NaN) has no holder: every covering node is sent it.
+                    holders.push(if s.matches(&rec) { vec![n] } else { Vec::new() });
+                    bucket.push(records.len());
+                    records.push((rec, n));
                 }
             }
         }
         let mut wants: Vec<Vec<ChordId>> = Vec::with_capacity(records.len());
-        for (rec, holder) in &records {
+        for (i, (rec, holder)) in records.iter().enumerate() {
             let (lo_v, hi_v) = rec.mbr.first_interval();
             let (lo, hi) =
                 interval_key_range(self.space, lo_v.clamp(-1.0, 1.0), hi_v.clamp(-1.0, 1.0));
@@ -75,7 +94,7 @@ impl<R: ContentRouter> Cluster<R> {
                 // post-heal repair round closes it (anti-entropy). A copy
                 // lost after retries likewise leaves the hole for the next
                 // repair round or shipment.
-                if !self.nodes[&n].summaries().any(|s| s.matches(rec))
+                if !holders[i].contains(&n)
                     && self.send_hop(MsgClass::MbrInternal, *holder, n).arrived()
                 {
                     self.node_mut(n).store_mbr_ref(rec);
@@ -85,7 +104,9 @@ impl<R: ContentRouter> Cluster<R> {
         }
         for n in self.node_order.clone() {
             self.node_mut(n).retain_mbrs(|s| {
-                records.iter().zip(&wants).any(|((r, _), w)| s.matches(r) && w.contains(&n))
+                by_key.get(&(s.stream, s.origin, s.expires)).is_some_and(|bucket| {
+                    bucket.iter().any(|&i| s.matches(&records[i].0) && wants[i].contains(&n))
+                })
             });
         }
 
@@ -429,7 +450,150 @@ impl Cluster<Ring> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{feed_stream, small_cluster, spec, wave};
-    use dsi_simnet::{FaultPlan, SimTime};
+    use super::super::Cluster;
+    use crate::datacenter::StoredMbr;
+    use crate::mapping::interval_key_range;
+    use crate::ClusterConfig;
+    use dsi_chord::{ChordId, ContentRouter};
+    use dsi_simnet::{FaultPlan, MsgClass, SimTime};
+
+    impl<R: ContentRouter> Cluster<R> {
+        /// The MBR half of `rebalance_inner` as it was before the keyed
+        /// pass — three linear membership scans — kept as the differential
+        /// test's reference.
+        fn rebalance_mbrs_reference(&mut self, filter: Option<SimTime>) {
+            // One entry per distinct surviving record, with a holder to copy
+            // from.
+            let mut records: Vec<(StoredMbr, ChordId)> = Vec::new();
+            for &n in &self.node_order {
+                for s in self.nodes[&n].summaries() {
+                    if filter.is_some_and(|now| now >= s.expires) {
+                        continue;
+                    }
+                    if !records.iter().any(|(r, _)| s.matches(r)) {
+                        records.push((s.to_stored(), n));
+                    }
+                }
+            }
+            let mut wants: Vec<Vec<ChordId>> = Vec::with_capacity(records.len());
+            for (rec, holder) in &records {
+                let (lo_v, hi_v) = rec.mbr.first_interval();
+                let (lo, hi) =
+                    interval_key_range(self.space, lo_v.clamp(-1.0, 1.0), hi_v.clamp(-1.0, 1.0));
+                let mut want = dsi_chord::covering_nodes(&self.ring, lo, hi);
+                if self.nodes.contains_key(&rec.origin) && !want.contains(&rec.origin) {
+                    want.push(rec.origin);
+                }
+                for &n in &want {
+                    if !self.nodes[&n].summaries().any(|s| s.matches(rec))
+                        && self.send_hop(MsgClass::MbrInternal, *holder, n).arrived()
+                    {
+                        self.node_mut(n).store_mbr_ref(rec);
+                    }
+                }
+                wants.push(want);
+            }
+            for n in self.node_order.clone() {
+                self.node_mut(n).retain_mbrs(|s| {
+                    records.iter().zip(&wants).any(|((r, _), w)| s.matches(r) && w.contains(&n))
+                });
+            }
+        }
+    }
+
+    /// The differential test's seeded script: ζ = 1, so every post past
+    /// the warm-up ships its own one-point batch; drops armed; churn repair
+    /// off, so the crash and the join leave holes and misplaced replicas
+    /// for the repair under test. It posts no query, so `rebalance_inner`'s
+    /// query halves send nothing.
+    fn repair_script() -> Cluster {
+        let mut cfg = ClusterConfig::new(24);
+        cfg.workload.window_len = 16;
+        cfg.workload.num_coeffs = 2;
+        cfg.workload.mbr_batch = 1;
+        cfg.workload.mbr_max_width = None;
+        let mut c = Cluster::new(cfg);
+        c.set_churn_repair(false);
+        c.set_fault_plan(FaultPlan::uniform(spec(0.3, 0.0, 0.0)), 11);
+        for k in 0..6 {
+            let sid = c.register_stream(&format!("s{k}"), 2 * k);
+            // One call posts at one instant, so a stream's batches share
+            // one `(stream, origin, expires)` key with different corners.
+            let at = SimTime::from_ms(500 * (k as u64 % 2));
+            feed_stream(&mut c, sid, &wave(20, 0.3 + 0.1 * k as f64, k as f64), at);
+        }
+        // Every node gets a copy of each of stream 1's batches (live at the
+        // repair time): misplaced replicas, and a second copy wherever one
+        // already was.
+        let home = c.streams()[1].home;
+        let batches: Vec<StoredMbr> =
+            c.node(home).stored_mbrs_snapshot().into_iter().filter(|r| r.stream == 1).collect();
+        assert!(batches.len() > 1, "stream 1 shipped one batch per post");
+        assert!(
+            batches.iter().all(|b| (b.origin, b.expires) == (home, batches[0].expires)),
+            "stream 1's batches share one key"
+        );
+        let owners: Vec<ChordId> = batches
+            .iter()
+            .map(|b| {
+                let (lo, hi) = b.mbr.first_interval();
+                let key = interval_key_range(c.space, lo.clamp(-1.0, 1.0), hi.clamp(-1.0, 1.0)).0;
+                c.ring.ideal_successor(key).expect("live ring")
+            })
+            .collect();
+        assert!(owners.iter().any(|&o| o != owners[0]), "one key, different covering nodes");
+        for n in c.node_ids().to_vec() {
+            for b in &batches {
+                c.node_mut(n).store_mbr_ref(b);
+            }
+        }
+        c.crash_node(c.node_id(3));
+        c.join_node("joiner");
+        feed_stream(&mut c, 1, &wave(4, 0.4, 2.0), SimTime::from_ms(800));
+        c.start_measurement();
+        c
+    }
+
+    /// Equal replicas on every node, and equal per-class message totals.
+    fn assert_same_repair(keyed: &Cluster, linear: &Cluster, what: &str) {
+        assert_eq!(keyed.node_ids(), linear.node_ids());
+        for &n in keyed.node_ids() {
+            assert_eq!(
+                keyed.node(n).stored_mbrs_snapshot(),
+                linear.node(n).stored_mbrs_snapshot(),
+                "{what}: replicas at {n}"
+            );
+        }
+        for class in MsgClass::ALL {
+            let (k, l) = (keyed.metrics(), linear.metrics());
+            assert_eq!(k.total(class), l.total(class), "{what}: {class:?} total");
+            assert_eq!(
+                k.send_accounting(class),
+                l.send_accounting(class),
+                "{what}: {class:?} sends"
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_repair_pass_equals_the_linear_scans() {
+        let expired_at = SimTime::from_ms(repair_script().config().workload.bspan_ms);
+        for filter in [None, Some(expired_at)] {
+            let (mut keyed, mut linear) = (repair_script(), repair_script());
+            keyed.rebalance_inner(filter);
+            linear.rebalance_mbrs_reference(filter);
+            assert!(keyed.metrics().total(MsgClass::MbrInternal) > 0, "{filter:?}: copies made");
+            assert_same_repair(&keyed, &linear, &format!("{filter:?}, first repair"));
+            // A second crash opens new holes: equal copies and losses now
+            // show that the fault RNG advanced alike in the first repair.
+            for c in [&mut keyed, &mut linear] {
+                c.crash_node(c.node_id(5));
+            }
+            keyed.rebalance_inner(filter);
+            linear.rebalance_mbrs_reference(filter);
+            assert_same_repair(&keyed, &linear, &format!("{filter:?}, second repair"));
+        }
+    }
 
     #[test]
     fn repair_coverage_heals_holes_without_resurrecting_expired_state() {

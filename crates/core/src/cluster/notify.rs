@@ -6,7 +6,7 @@ use super::{Cluster, QueryRuntime};
 use crate::aggregate::{AggregateKind, AggregateNotification, AggregateValue};
 use crate::datacenter::{candidate_radius, DataCenter};
 use crate::mapping::radius_key_range;
-use crate::query::{InnerProductQuery, MatchNotification, QueryId, SimilarityQuery, StreamId};
+use crate::query::{MatchNotification, QueryId, SimilarityQuery, StreamId};
 use crate::reliability::PendingEffect;
 use crate::store::axis_gap;
 use dsi_chord::{covering_nodes_from, multicast, reachable_fraction, ChordId, ContentRouter};
@@ -199,26 +199,31 @@ impl<R: ContentRouter> Cluster<R> {
             }
         }
 
-        // Inner-product pushes for streams sourced here, in id order.
-        let pushes: Vec<InnerProductQuery> =
-            self.nodes[&node].active_ip_subscriptions(now).cloned().collect();
-        for q in pushes {
-            let s = &self.streams[q.stream as usize];
-            if !s.extractor.is_warm() {
-                continue;
-            }
-            let value = q.evaluate_approx(s.extractor.raw_prefix(), self.cfg.workload.window_len);
+        // Inner-product pushes for streams sourced here, in id order: every
+        // value is read off the warm extractors first, then sent.
+        let pushes: Vec<(QueryId, ChordId, f64, bool)> = self.nodes[&node]
+            .active_ip_subscriptions(now)
+            .filter_map(|q| {
+                let s = &self.streams[q.stream as usize];
+                if !s.extractor.is_warm() {
+                    return None;
+                }
+                let value =
+                    q.evaluate_approx(s.extractor.raw_prefix(), self.cfg.workload.window_len);
+                Some((q.id, q.client, value, q.alert.is_some_and(|a| a.triggered(value))))
+            })
+            .collect();
+        for (query, client, value, alert) in pushes {
             // A push suppressed by a cut or lost after retries skips this
             // period's value; the next (post-heal) cycle pushes a fresh one.
             let (how, _) = self.send_routed(
                 RESPONSE_ROUTE,
                 node,
-                Dest::Node(q.client),
+                Dest::Node(client),
                 Some(InputEvent::Response),
             );
-            let alert = q.alert.is_some_and(|a| a.triggered(value));
-            let push = PendingEffect::IpResult { query: q.id, value, alert, at: now };
-            self.deliver(q.client, &push, how, now);
+            let push = PendingEffect::IpResult { query, value, alert, at: now };
+            self.deliver(client, &push, how, now);
         }
     }
 
